@@ -32,6 +32,7 @@ from .hhbounds import (
     THEOREM_IDS,
     BoundReport,
     classical_hh_check,
+    classical_hh_margins,
     hh_gap,
     hypothesis_function,
     lemma_identity_residuals,
@@ -53,6 +54,7 @@ from .means import (
     extended_p_logarithmic,
     mean,
     mean_chain_check,
+    mean_chain_margins,
     proposition_check,
 )
 from .quadrature import (
@@ -92,6 +94,7 @@ __all__ = [
     "UnknownIdentifierError",
     "certify",
     "classical_hh_check",
+    "classical_hh_margins",
     "extended_p_logarithmic",
     "format_expression",
     "generalized_combination_rhs",
@@ -103,6 +106,7 @@ __all__ = [
     "lemma_identity_residuals",
     "mean",
     "mean_chain_check",
+    "mean_chain_margins",
     "parse",
     "parse_function",
     "proposition_check",

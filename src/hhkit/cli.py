@@ -1,8 +1,9 @@
 """Command-line front end: certification, bounds, guaranteed integration, means,
 and the full corpus verification suite, reported as json, csv, or text.
 
-Every subcommand emits a stream of ReportRecord rows with the same numeric
-content across formats.  Exit codes: 0 when every check passes, 1 when at
+Every subcommand and every suite phase yields (kind, inputs, lhs, rhs, margin,
+verdict) rows; one runner times them and turns them into ReportRecords, with
+the same numeric content across formats.  Exit codes: 0 when every check passes, 1 when at
 least one inequality is falsified, 2 on usage or input errors.  Verdicts in
 the "finding" family (suspected-typo propositions, falsified sampling
 hypotheses) do not fail the run; only "violated", "falsified", and
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -57,10 +59,10 @@ _SUITE_P3_NS = (2, 3)
 @dataclass(frozen=True)
 class Command:
     subcommand: str
-    function_text: Optional[str] = None
+    function: Optional[str] = None
     interval: Optional[Interval] = None
     params: ConvexityParams = ConvexityParams(1.0, 1.0, 1.0, "first")
-    p: Optional[float] = None
+    p: float = 2.0  # Holder exponent for T2/T3/T5/T6, the integrate bounds and P1-P3
     theorem: Optional[str] = None
     tol: float = DEFAULT_TOL
     grid: int = DEFAULT_GRID
@@ -80,16 +82,23 @@ class ReportRecord:
     elapsed_ms: float
 
 
-def _finish(kind, inputs, lhs, rhs, margin, verdict, started) -> ReportRecord:
-    return ReportRecord(
-        kind=kind,
-        inputs=inputs,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        verdict=verdict,
-        elapsed_ms=(time.perf_counter() - started) * 1e3,
-    )
+def _records(rows) -> list[ReportRecord]:
+    """One ReportRecord per (kind, inputs, lhs, rhs, margin, verdict) row.
+
+    A row's elapsed_ms runs from the end of the previous row (the first from
+    the call), so the rows' times add up to all the work that produced them.
+    """
+    records = []
+    last = time.perf_counter()
+    for kind, inputs, lhs, rhs, margin, verdict in rows:
+        now = time.perf_counter()
+        records.append(
+            ReportRecord(
+                kind, inputs, float(lhs), float(rhs), float(margin), verdict, (now - last) * 1e3
+            )
+        )
+        last = now
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -100,42 +109,27 @@ def _fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _scalar(v) -> str:
+def _scalar(v, quote: bool) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return _fmt_float(float(v))
-    return json.dumps(str(v))
+    return json.dumps(str(v)) if quote else str(v)
 
 
 def _to_json(records: list[ReportRecord]) -> str:
     rows = []
     for r in records:
-        inputs = ", ".join(f"{json.dumps(k)}: {_scalar(v)}" for k, v in r.inputs.items())
+        inputs = ", ".join(f"{json.dumps(k)}: {_scalar(v, True)}" for k, v in r.inputs.items())
         rows.append(
-            "  {"
-            + f'"kind": {json.dumps(r.kind)}, '
-            + "\"inputs\": {" + inputs + "}, "
-            + f'"lhs": {_fmt_float(r.lhs)}, '
-            + f'"rhs": {_fmt_float(r.rhs)}, '
-            + f'"margin": {_fmt_float(r.margin)}, '
-            + f'"verdict": {json.dumps(r.verdict)}, '
-            + f'"elapsed_ms": {_fmt_float(r.elapsed_ms)}'
-            + "}"
+            f'  {{"kind": {json.dumps(r.kind)}, "inputs": {{{inputs}}}, '
+            f'"lhs": {_fmt_float(r.lhs)}, "rhs": {_fmt_float(r.rhs)}, '
+            f'"margin": {_fmt_float(r.margin)}, "verdict": {json.dumps(r.verdict)}, '
+            f'"elapsed_ms": {_fmt_float(r.elapsed_ms)}}}'
         )
     return "[\n" + ",\n".join(rows) + "\n]"
-
-
-def _csv_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
-    return str(v)
 
 
 def _to_csv(records: list[ReportRecord]) -> str:
@@ -143,18 +137,9 @@ def _to_csv(records: list[ReportRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kind", "lhs", "rhs", "margin", "verdict", "inputs", "elapsed_ms"])
     for r in records:
-        inputs = ";".join(f"{k}={_csv_scalar(v)}" for k, v in r.inputs.items())
-        writer.writerow(
-            [
-                r.kind,
-                _fmt_float(r.lhs),
-                _fmt_float(r.rhs),
-                _fmt_float(r.margin),
-                r.verdict,
-                inputs,
-                _fmt_float(r.elapsed_ms),
-            ]
-        )
+        inputs = ";".join(f"{k}={_scalar(v, False)}" for k, v in r.inputs.items())
+        numbers = [_fmt_float(v) for v in (r.lhs, r.rhs, r.margin)]
+        writer.writerow([r.kind, *numbers, r.verdict, inputs, _fmt_float(r.elapsed_ms)])
     return buf.getvalue().rstrip("\n")
 
 
@@ -193,11 +178,15 @@ def format_records(records: list[ReportRecord], fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommands: each yields rows (kind, inputs, lhs, rhs, margin, verdict)
+
+
+def _verdict(margin: float, tol: float = 0.0) -> str:
+    return "holds" if margin >= -tol else "violated"
 
 
 def _function_for(cmd: Command) -> FunctionSpec:
-    if cmd.function_text is None:
+    if cmd.function is None:
         raise ValueError(f"{cmd.subcommand} requires --function")
     if cmd.interval is None:
         raise ValueError(f"{cmd.subcommand} requires --interval")
@@ -208,32 +197,27 @@ def _function_for(cmd: Command) -> FunctionSpec:
         lo, hi = min(a, a / m), max(b, b / m)
     else:
         lo, hi = a, b
-    return parse_function(cmd.function_text, Interval(lo, hi))
+    return parse_function(cmd.function, Interval(lo, hi))
 
 
-def _hp_for(theorem_id: str, p: Optional[float]) -> Optional[HolderExponents]:
-    if theorem_id in ("T1", "T4"):
-        return None
-    return HolderExponents(p if p is not None else 2.0)
+def _theorems(cmd: Command):
+    """(theorem_id, hp) for every theorem the command names."""
+    for tid in (cmd.theorem,) if cmd.theorem else THEOREM_IDS:
+        for hp in hhbounds.holder_pairs(tid, (cmd.p,)):
+            yield tid, hp
 
 
-def _theorem_list(cmd: Command) -> tuple[str, ...]:
-    return (cmd.theorem,) if cmd.theorem else THEOREM_IDS
-
-
-def _cmd_certify(cmd: Command) -> list[ReportRecord]:
-    f = _function_for(cmd)
-    started = time.perf_counter()
-    rep = convexity.certify(f, cmd.interval, cmd.params, cmd.grid, cmd.tol)
+def _certify_row(f, interval, params, grid, tol=convexity.DEFAULT_TOLERANCE):
+    rep = convexity.certify(f, interval, params, grid, tol)
     inputs = {
         "function": f.text,
-        "a": cmd.interval.a,
-        "b": cmd.interval.b,
-        "s": cmd.params.s,
-        "alpha": cmd.params.alpha,
-        "m": cmd.params.m,
-        "sense": cmd.params.sense,
-        "grid": cmd.grid,
+        "a": interval.a,
+        "b": interval.b,
+        "s": params.s,
+        "alpha": params.alpha,
+        "m": params.m,
+        "sense": params.sense,
+        "grid": grid,
         "samples": rep.samples_checked,
     }
     lhs = rhs = 0.0
@@ -241,17 +225,16 @@ def _cmd_certify(cmd: Command) -> list[ReportRecord]:
         cex = rep.counterexample
         inputs.update({"x": cex.x, "y": cex.y, "mu": cex.mu})
         lhs, rhs = cex.lhs, cex.rhs
-    return [
-        _finish("certify", inputs, lhs, rhs, rep.worst_margin, rep.verdict, started)
-    ]
+    return "certify", inputs, lhs, rhs, rep.worst_margin, rep.verdict
 
 
-def _cmd_bound(cmd: Command) -> list[ReportRecord]:
+def _cmd_certify(cmd: Command):
+    yield _certify_row(_function_for(cmd), cmd.interval, cmd.params, cmd.grid, cmd.tol)
+
+
+def _cmd_bound(cmd: Command):
     f = _function_for(cmd)
-    records = []
-    for tid in _theorem_list(cmd):
-        started = time.perf_counter()
-        hp = _hp_for(tid, cmd.p)
+    for tid, hp in _theorems(cmd):
         value = hhbounds.theorem_bound(tid, f, cmd.interval, cmd.params, hp)
         inputs = {
             "theorem": tid,
@@ -264,8 +247,7 @@ def _cmd_bound(cmd: Command) -> list[ReportRecord]:
         }
         if hp is not None:
             inputs["p"] = hp.p
-        records.append(_finish("bound", inputs, 0.0, value, value, "value", started))
-    return records
+        yield "bound", inputs, 0.0, value, value, "value"
 
 
 def _verify_verdict(rep: hhbounds.BoundReport) -> str:
@@ -274,38 +256,21 @@ def _verify_verdict(rep: hhbounds.BoundReport) -> str:
     return "holds" if rep.holds else "violated"
 
 
-def _cmd_verify(cmd: Command) -> list[ReportRecord]:
+def _cmd_verify(cmd: Command):
     f = _function_for(cmd)
-    records = []
-    for tid in _theorem_list(cmd):
-        started = time.perf_counter()
-        rep = hhbounds.verify_theorem(
-            tid, f, cmd.interval, cmd.params, _hp_for(tid, cmd.p), cmd.tol, cmd.grid
-        )
+    for tid, hp in _theorems(cmd):
+        rep = hhbounds.verify_theorem(tid, f, cmd.interval, cmd.params, hp, cmd.tol, cmd.grid)
         inputs = dict(rep.inputs)
         inputs["hypothesis_certified"] = rep.hypothesis_certified
-        records.append(
-            _finish(
-                "verify",
-                inputs,
-                rep.lhs_gap,
-                rep.rhs_bound,
-                rep.margin,
-                _verify_verdict(rep),
-                started,
-            )
-        )
-    return records
+        yield "verify", inputs, rep.lhs_gap, rep.rhs_bound, rep.margin, _verify_verdict(rep)
 
 
-def _cmd_integrate(cmd: Command) -> list[ReportRecord]:
+def _cmd_integrate(cmd: Command):
     f = _function_for(cmd)
-    started = time.perf_counter()
-    p = cmd.p if cmd.p is not None else 2.0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = quadrature.integrate_with_guarantee(
-            f, cmd.interval, cmd.tol, cmd.params.s, p, allow_uncertified=True
+            f, cmd.interval, cmd.tol, cmd.params.s, cmd.p, allow_uncertified=True
         )
     uncertified = any(issubclass(w.category, UserWarning) for w in caught)
     bound = min(res.bound_p4, res.bound_p5)
@@ -315,78 +280,56 @@ def _cmd_integrate(cmd: Command) -> list[ReportRecord]:
         "b": cmd.interval.b,
         "tol": cmd.tol,
         "s": cmd.params.s,
-        "p": p,
+        "p": cmd.p,
         "n": res.n,
         "bound_p4": res.bound_p4,
         "bound_p5": res.bound_p5,
     }
     verdict = "hypothesis_falsified" if uncertified else "within_tol"
-    return [
-        _finish("integrate", inputs, res.value, bound, cmd.tol - bound, verdict, started)
-    ]
+    yield "integrate", inputs, res.value, bound, cmd.tol - bound, verdict
 
 
-def _cmd_means(cmd: Command) -> list[ReportRecord]:
+def _cmd_means(cmd: Command):
     if cmd.interval is None:
         raise ValueError("means requires --interval a:b with 0 < a < b")
     a, b = cmd.interval.a, cmd.interval.b
     if not a > 0.0:
         raise ValueError(f"means requires positive endpoints, got a={a}")
-    p = cmd.p if cmd.p is not None else 2.0
-    hp = HolderExponents(p)
-    records = []
+    hp = HolderExponents(cmd.p)
 
+    values = {}
     for kind in means.MEAN_KINDS:
-        started = time.perf_counter()
-        req = means.MeanRequest(kind, a, b, p if kind == "p_logarithmic" else None)
-        value = means.mean(req)
+        p = cmd.p if kind == "p_logarithmic" else None
+        values[kind] = means.mean(means.MeanRequest(kind, a, b, p))
         inputs = {"kind": kind, "a": a, "b": b}
-        if kind == "p_logarithmic":
+        if p is not None:
             inputs["p"] = p
-        records.append(_finish("mean", inputs, value, value, 0.0, "value", started))
+        yield "mean", inputs, values[kind], values[kind], 0.0, "value"
 
-    started = time.perf_counter()
-    chain = [
-        means.mean(means.MeanRequest(k, a, b))
-        for k in ("harmonic", "geometric", "logarithmic", "identric", "arithmetic")
-    ]
-    chain_margin = min(hi - lo for lo, hi in zip(chain, chain[1:]))
-    records.append(
-        _finish(
-            "mean_chain",
-            {"a": a, "b": b},
-            chain[0],
-            chain[-1],
-            chain_margin,
-            "holds" if chain_margin >= -_SUITE_MEAN_TOL else "violated",
-            started,
-        )
+    margin = min(means.mean_chain_margins(a, b))
+    yield (
+        "mean_chain",
+        {"a": a, "b": b},
+        values["harmonic"],
+        values["arithmetic"],
+        margin,
+        _verdict(margin, _SUITE_MEAN_TOL),
     )
 
     for pid in means.PROPOSITION_IDS:
-        started = time.perf_counter()
-        rep = means.proposition_check(pid, a, b, hp, n=cmd.n if pid == "P3" else None)
-        verdict = _proposition_verdict(pid, rep)
-        records.append(
-            _finish(
-                "proposition",
-                dict(rep.inputs),
-                rep.lhs_gap,
-                rep.rhs_bound,
-                rep.margin,
-                verdict,
-                started,
-            )
+        yield _proposition_row(
+            means.proposition_check(pid, a, b, hp, n=cmd.n if pid == "P3" else None)
         )
-    return records
 
 
-def _proposition_verdict(pid: str, rep: hhbounds.BoundReport) -> str:
-    if rep.holds:
-        return "holds"
+def _proposition_row(rep: hhbounds.BoundReport):
     # P2/P3 are checked exactly as printed and are suspected misprints;
     # a failed check there is reported without failing the run
-    return "violated" if pid == "P1" else "finding"
+    if rep.holds:
+        verdict = "holds"
+    else:
+        verdict = "violated" if rep.theorem_id == "P1" else "finding"
+    return "proposition", dict(rep.inputs), rep.lhs_gap, rep.rhs_bound, rep.margin, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -395,180 +338,89 @@ def _proposition_verdict(pid: str, rep: hhbounds.BoundReport) -> str:
 
 def run_suite(grid_n: int = DEFAULT_GRID, seed: int = 0) -> list[ReportRecord]:
     """One ReportRecord per corpus check, in a fixed canonical order."""
-    records = []
-    records.extend(_suite_kernel_identities())
-    records.extend(_suite_convexity_and_classical(grid_n))
-    records.extend(_suite_theorems(grid_n))
-    records.extend(_suite_lemma_identities())
-    records.extend(_suite_means(seed))
-    records.extend(_suite_propositions())
-    records.extend(_suite_quadrature())
-    return records
+    return _records(
+        itertools.chain(
+            _suite_kernel_identities(),
+            _suite_convexity_and_classical(grid_n),
+            _suite_theorems(grid_n),
+            _suite_lemma_identities(),
+            _suite_means(seed),
+            _suite_propositions(),
+            _suite_quadrature(),
+        )
+    )
 
 
-def _suite_kernel_identities() -> list[ReportRecord]:
-    records = []
+def _suite_kernel_identities():
     for c in corpus.ALPHA_S_GRID:
         for p in corpus.HOLDER_PS:
-            started = time.perf_counter()
             rep = kernels.verify_kernel_identities(c, p, max(_SUITE_KERNEL_TOL.values()))
             for ch in rep.checks:
                 allowed = _SUITE_KERNEL_TOL[ch.dimension]
-                records.append(
-                    _finish(
-                        "kernel_identity",
-                        {
-                            "identity": ch.name,
-                            "alpha_s": c,
-                            "p": p,
-                            "dimension": ch.dimension,
-                            "tol": allowed,
-                        },
-                        ch.numeric,
-                        ch.closed_form,
-                        allowed - ch.residual,
-                        "holds" if ch.residual <= allowed else "violated",
-                        started,
-                    )
-                )
-                started = time.perf_counter()
-    return records
+                inputs = {
+                    "identity": ch.name,
+                    "alpha_s": c,
+                    "p": p,
+                    "dimension": ch.dimension,
+                    "tol": allowed,
+                }
+                margin = allowed - ch.residual
+                yield "kernel_identity", inputs, ch.numeric, ch.closed_form, margin, _verdict(margin)
 
 
-def _suite_convexity_and_classical(grid_n: int) -> list[ReportRecord]:
-    records = []
+def _suite_convexity_and_classical(grid_n: int):
     classical = ConvexityParams(1.0, 1.0, 1.0, "first")
     for f in corpus.corpus_functions():
         for iv in corpus.INTERVALS:
-            started = time.perf_counter()
-            rep = convexity.certify(f, iv, classical, grid_n)
-            records.append(
-                _finish(
-                    "certify",
-                    {
-                        "function": f.text,
-                        "a": iv.a,
-                        "b": iv.b,
-                        "s": 1.0,
-                        "alpha": 1.0,
-                        "m": 1.0,
-                        "sense": "first",
-                        "grid": grid_n,
-                        "samples": rep.samples_checked,
-                    },
-                    0.0,
-                    0.0,
-                    rep.worst_margin,
-                    rep.verdict,
-                    started,
-                )
+            yield _certify_row(f, iv, classical, grid_n)
+            midpoint, endpoint_avg, lower, upper = hhbounds.classical_hh_margins(f, iv)
+            margin = min(lower, upper)
+            yield (
+                "classical",
+                {"function": f.text, "a": iv.a, "b": iv.b},
+                midpoint,
+                endpoint_avg,
+                margin,
+                _verdict(margin, _SUITE_MARGIN_TOL),
             )
 
-            started = time.perf_counter()
-            integral_avg = (
-                quadrature.reference_integrate(f, iv, tol=1e-12) / iv.width
-            )
-            midpoint = f((iv.a + iv.b) / 2.0)
-            endpoint_avg = (f(iv.a) + f(iv.b)) / 2.0
-            margin = min(integral_avg - midpoint, endpoint_avg - integral_avg)
-            records.append(
-                _finish(
-                    "classical",
-                    {"function": f.text, "a": iv.a, "b": iv.b},
-                    midpoint,
-                    endpoint_avg,
-                    margin,
-                    "holds" if margin >= -1e-9 else "violated",
-                    started,
-                )
-            )
-    return records
 
-
-def _suite_theorems(grid_n: int) -> list[ReportRecord]:
-    records = []
+def _suite_theorems(grid_n: int):
     for f in corpus.corpus_functions():
         for iv in corpus.INTERVALS:
-            gap = hhbounds.hh_gap(f, iv)
             for prm in corpus.PARAM_TRIPLES:
-                # one certification sweep per distinct hypothesis, shared
-                # across the theorems that assume it
-                plain = convexity.certify(
-                    hhbounds.hypothesis_function("T1", f), iv, prm, grid_n
-                )
-                by_q = {}
-                for p in corpus.HOLDER_PS:
-                    hp = HolderExponents(p)
-                    by_q[hp.q] = convexity.certify(
-                        hhbounds.hypothesis_function("T2", f, hp), iv, prm, grid_n
-                    )
                 for tid in THEOREM_IDS:
-                    if tid in ("T1", "T4"):
-                        combos = [(None, plain)]
-                    else:
-                        combos = [
-                            (HolderExponents(p), by_q[HolderExponents(p).q])
-                            for p in corpus.HOLDER_PS
-                        ]
-                    for hp, cert in combos:
-                        started = time.perf_counter()
-                        bound = hhbounds.theorem_bound(tid, f, iv, prm, hp)
-                        margin = bound - gap
-                        if cert.falsified:
-                            verdict = "hypothesis_falsified"
-                        elif margin >= -_SUITE_MARGIN_TOL:
-                            verdict = "holds"
-                        else:
-                            verdict = "violated"
-                        inputs = {
-                            "theorem": tid,
-                            "function": f.text,
-                            "a": iv.a,
-                            "b": iv.b,
-                            "s": prm.s,
-                            "alpha": prm.alpha,
-                            "m": prm.m,
-                            "sense": "first",
-                            "hypothesis_certified": not cert.falsified,
-                        }
+                    for hp in hhbounds.holder_pairs(tid, corpus.HOLDER_PS):
+                        rep = hhbounds.verify_theorem(
+                            tid, f, iv, prm, hp, _SUITE_MARGIN_TOL, grid_n
+                        )
+                        # suite rows list p after the certification flag, without q
+                        inputs = {k: v for k, v in rep.inputs.items() if k not in ("p", "q")}
+                        inputs["hypothesis_certified"] = rep.hypothesis_certified
                         if hp is not None:
                             inputs["p"] = hp.p
-                        records.append(
-                            _finish("verify", inputs, gap, bound, margin, verdict, started)
+                        yield (
+                            "verify",
+                            inputs,
+                            rep.lhs_gap,
+                            rep.rhs_bound,
+                            rep.margin,
+                            _verify_verdict(rep),
                         )
-    return records
 
 
-def _suite_lemma_identities() -> list[ReportRecord]:
-    records = []
+def _suite_lemma_identities():
     for f in corpus.corpus_functions():
         for iv in corpus.INTERVALS:
-            started = time.perf_counter()
             res = hhbounds.lemma_identity_residuals(f, iv)
             for form, value, residual in (
                 ("single", res.single_integral, res.single_residual),
                 ("double", res.double_integral, res.double_residual),
             ):
                 allowed = _SUITE_LEMMA_TOL[form]
-                records.append(
-                    _finish(
-                        "lemma_identity",
-                        {
-                            "function": f.text,
-                            "a": iv.a,
-                            "b": iv.b,
-                            "form": form,
-                            "tol": allowed,
-                        },
-                        value,
-                        res.signed_gap,
-                        allowed - residual,
-                        "holds" if residual <= allowed else "violated",
-                        started,
-                    )
-                )
-                started = time.perf_counter()
-    return records
+                inputs = {"function": f.text, "a": iv.a, "b": iv.b, "form": form, "tol": allowed}
+                margin = allowed - residual
+                yield "lemma_identity", inputs, value, res.signed_gap, margin, _verdict(margin)
 
 
 def _random_pairs(rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
@@ -581,50 +433,21 @@ def _random_pairs(rng: np.random.Generator, count: int) -> list[tuple[float, flo
     return pairs
 
 
-def _suite_means(seed: int) -> list[ReportRecord]:
-    records = []
-    rng = np.random.default_rng(seed)
-    pairs = _random_pairs(rng, _SUITE_MEAN_PAIRS)
+def _suite_means(seed: int):
+    pairs = _random_pairs(np.random.default_rng(seed), _SUITE_MEAN_PAIRS)
 
-    started = time.perf_counter()
-    worst = math.inf
-    for a, b in pairs:
-        chain = [
-            means.mean(means.MeanRequest(k, a, b))
-            for k in ("harmonic", "geometric", "logarithmic", "identric", "arithmetic")
-        ]
-        worst = min(worst, min(hi - lo for lo, hi in zip(chain, chain[1:])))
-    records.append(
-        _finish(
-            "mean_chain",
-            {"pairs": _SUITE_MEAN_PAIRS, "seed": seed},
-            0.0,
-            0.0,
-            worst,
-            "holds" if worst >= -_SUITE_MEAN_TOL else "violated",
-            started,
-        )
-    )
+    worst = min(min(means.mean_chain_margins(a, b)) for a, b in pairs)
+    inputs = {"pairs": _SUITE_MEAN_PAIRS, "seed": seed}
+    yield "mean_chain", inputs, 0.0, 0.0, worst, _verdict(worst, _SUITE_MEAN_TOL)
 
-    started = time.perf_counter()
     p_grid = (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
     worst = math.inf
     for a, b in pairs[:25]:
         vals = [means.extended_p_logarithmic(a, b, p) for p in p_grid]
         worst = min(worst, min(hi - lo for lo, hi in zip(vals, vals[1:])))
-    records.append(
-        _finish(
-            "mean_monotone",
-            {"pairs": 25, "seed": seed},
-            0.0,
-            0.0,
-            worst,
-            "holds" if worst >= -_SUITE_MEAN_TOL else "violated",
-            started,
-        )
-    )
+    inputs = {"pairs": 25, "seed": seed}
+    yield "mean_monotone", inputs, 0.0, 0.0, worst, _verdict(worst, _SUITE_MEAN_TOL)
 
-    started = time.perf_counter()
     worst_dev = 0.0
     for a, b in pairs[:25]:
         worst_dev = max(
@@ -633,100 +456,53 @@ def _suite_means(seed: int) -> list[ReportRecord]:
             abs(means.extended_p_logarithmic(a, b, 0.0) - means.mean(means.MeanRequest("identric", a, b))),
             abs(means.extended_p_logarithmic(a, b, -1.0) - means.mean(means.MeanRequest("logarithmic", a, b))),
         )
-    records.append(
-        _finish(
-            "mean_branch",
-            {"pairs": 25, "seed": seed},
-            0.0,
-            0.0,
-            _SUITE_MEAN_TOL - worst_dev,
-            "holds" if worst_dev <= _SUITE_MEAN_TOL else "violated",
-            started,
-        )
-    )
-    return records
+    margin = _SUITE_MEAN_TOL - worst_dev
+    yield "mean_branch", {"pairs": 25, "seed": seed}, 0.0, 0.0, margin, _verdict(margin)
 
 
-def _suite_propositions() -> list[ReportRecord]:
-    records = []
+def _suite_propositions():
     for pid in means.PROPOSITION_IDS:
         for a, b in _SUITE_PROP_PAIRS:
             for p in corpus.HOLDER_PS:
-                ns = _SUITE_P3_NS if pid == "P3" else (None,)
-                for n in ns:
-                    started = time.perf_counter()
-                    rep = means.proposition_check(pid, a, b, HolderExponents(p), n=n)
-                    records.append(
-                        _finish(
-                            "proposition",
-                            dict(rep.inputs),
-                            rep.lhs_gap,
-                            rep.rhs_bound,
-                            rep.margin,
-                            _proposition_verdict(pid, rep),
-                            started,
-                        )
+                for n in _SUITE_P3_NS if pid == "P3" else (None,):
+                    yield _proposition_row(
+                        means.proposition_check(pid, a, b, HolderExponents(p), n=n)
                     )
-    return records
 
 
-def _suite_quadrature() -> list[ReportRecord]:
-    records = []
+def _suite_quadrature():
     for f in corpus.corpus_functions():
         for iv in corpus.INTERVALS:
-            ref = quadrature.reference_integrate(f, iv, tol=1e-12)
+            ref = quadrature.oracle_integral(f, iv)
             for n in _SUITE_PARTITION_NS:
                 part = Partition.uniform(iv, n)
                 actual = abs(ref - quadrature.trapezoid_sum(f, part))
                 for variant in quadrature.BOUND_VARIANTS:
-                    started = time.perf_counter()
                     bound = quadrature.trapezoid_error_bound(variant, f, part, 1.0, 2.0)
                     margin = bound - actual
-                    records.append(
-                        _finish(
-                            "quadrature_bound",
-                            {
-                                "function": f.text,
-                                "a": iv.a,
-                                "b": iv.b,
-                                "n": n,
-                                "variant": variant,
-                            },
-                            actual,
-                            bound,
-                            margin,
-                            "holds" if margin >= -_SUITE_MARGIN_TOL else "violated",
-                            started,
-                        )
+                    inputs = {"function": f.text, "a": iv.a, "b": iv.b, "n": n, "variant": variant}
+                    yield (
+                        "quadrature_bound",
+                        inputs,
+                        actual,
+                        bound,
+                        margin,
+                        _verdict(margin, _SUITE_MARGIN_TOL),
                     )
 
             for tol in _SUITE_GUARANTEE_TOLS:
-                started = time.perf_counter()
                 res = quadrature.integrate_with_guarantee(f, iv, tol)
                 err = abs(res.value - quadrature.reference_integrate(f, iv, tol / 100.0))
-                records.append(
-                    _finish(
-                        "quadrature_guarantee",
-                        {
-                            "function": f.text,
-                            "a": iv.a,
-                            "b": iv.b,
-                            "tol": tol,
-                            "n": res.n,
-                            "value": res.value,
-                        },
-                        err,
-                        tol,
-                        tol - err,
-                        "within_tol" if err <= tol else "exceeds_tol",
-                        started,
-                    )
-                )
-    return records
-
-
-def _cmd_suite(cmd: Command) -> list[ReportRecord]:
-    return run_suite(cmd.grid, cmd.seed)
+                inputs = {
+                    "function": f.text,
+                    "a": iv.a,
+                    "b": iv.b,
+                    "tol": tol,
+                    "n": res.n,
+                    "value": res.value,
+                }
+                verdict = "within_tol" if err <= tol else "exceeds_tol"
+                yield "quadrature_guarantee", inputs, err, tol, tol - err, verdict
 
 
 _DISPATCH = {
@@ -735,12 +511,14 @@ _DISPATCH = {
     "verify": _cmd_verify,
     "integrate": _cmd_integrate,
     "means": _cmd_means,
-    "suite": _cmd_suite,
 }
 
 
 def dispatch(cmd: Command) -> tuple[int, list[ReportRecord]]:
-    records = _DISPATCH[cmd.subcommand](cmd)
+    if cmd.subcommand == "suite":
+        records = run_suite(cmd.grid, cmd.seed)
+    else:
+        records = _records(_DISPATCH[cmd.subcommand](cmd))
     code = 1 if any(r.verdict in _FAIL_VERDICTS for r in records) else 0
     return code, records
 
@@ -748,42 +526,28 @@ def dispatch(cmd: Command) -> tuple[int, list[ReportRecord]]:
 # ---------------------------------------------------------------------------
 # argument handling
 
-_VALUE_FLAGS = frozenset(
-    {
-        "--function",
-        "--interval",
-        "--s",
-        "--alpha",
-        "--m",
-        "--sense",
-        "--p",
-        "--theorem",
-        "--tol",
-        "--grid",
-        "--format",
-        "--seed",
-        "--config",
-        "--n",
-    }
-)
+# name -> (type, choices, default, help).  Every flag takes one value, and
+# every flag but --config may instead come from the --config JSON object.
+_FLAGS = {
+    "function": (str, None, None, "expression in x"),
+    "interval": (str, None, None, "endpoints as a:b"),
+    "s": (float, None, 1.0, "convexity exponent s in (0,1]"),
+    "alpha": (float, None, 1.0, "convexity exponent alpha in [0,1]"),
+    "m": (float, None, 1.0, "convexity scale m in [0,1]"),
+    "sense": (str, convexity.SENSES, "first", None),
+    "p": (float, None, 2.0, "Holder exponent p > 1"),
+    "theorem": (str, THEOREM_IDS, None, None),
+    "tol": (float, None, DEFAULT_TOL, f"tolerance (default {DEFAULT_TOL:g})"),
+    "grid": (int, None, DEFAULT_GRID, f"lattice size (default {DEFAULT_GRID})"),
+    "format": (str, FORMATS, "text", None),
+    "seed": (int, None, 0, "rng seed for sampled checks"),
+    "n": (int, None, 2, "power-mean order for the P3 check"),
+    "config": (str, None, None, "JSON file with the same keys as the flags"),
+}
 
-_CONFIG_KEYS = frozenset(
-    {
-        "function",
-        "interval",
-        "s",
-        "alpha",
-        "m",
-        "sense",
-        "p",
-        "theorem",
-        "tol",
-        "grid",
-        "format",
-        "seed",
-        "n",
-    }
-)
+_VALUE_FLAGS = frozenset(f"--{name}" for name in _FLAGS)
+
+_CONFIG_KEYS = frozenset(_FLAGS) - {"config"}
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -804,20 +568,8 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--function", dest="function_text", help="expression in x")
-    common.add_argument("--interval", help="endpoints as a:b")
-    common.add_argument("--s", type=float, help="convexity exponent s in (0,1]")
-    common.add_argument("--alpha", type=float, help="convexity exponent alpha in [0,1]")
-    common.add_argument("--m", type=float, help="convexity scale m in [0,1]")
-    common.add_argument("--sense", choices=convexity.SENSES)
-    common.add_argument("--p", type=float, help="Holder exponent p > 1")
-    common.add_argument("--theorem", choices=list(THEOREM_IDS))
-    common.add_argument("--tol", type=float, help=f"tolerance (default {DEFAULT_TOL:g})")
-    common.add_argument("--grid", type=int, help=f"lattice size (default {DEFAULT_GRID})")
-    common.add_argument("--format", choices=list(FORMATS))
-    common.add_argument("--seed", type=int, help="rng seed for sampled checks")
-    common.add_argument("--n", type=int, help="power-mean order for the P3 check")
-    common.add_argument("--config", help="JSON file with the same keys as the flags")
+    for name, (typ, choices, _, help_text) in _FLAGS.items():
+        common.add_argument(f"--{name}", type=typ, choices=choices, help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="hhkit",
@@ -854,53 +606,34 @@ def _parse_interval(text: str) -> Interval:
 
 
 def _resolve(args: argparse.Namespace) -> Command:
+    """Each value comes from its flag, else the config file, else (tol only)
+    the HHKIT_TOL environment variable, else the table default."""
     config = _load_config(args.config)
-
-    def pick(name, attr=None, default=None):
-        v = getattr(args, attr or name)
+    values = {}
+    for name, (typ, choices, default, _) in _FLAGS.items():
+        v = getattr(args, name)
         if v is None:
             v = config.get(name)
-        return default if v is None else v
+        if v is None and name == "tol":
+            v = os.environ.get(ENV_TOL) or None
+        if v is None:
+            v = default
+        if v is not None:
+            v = typ(v)
+            if choices is not None and v not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {v!r}")
+        values[name] = v
+    if not (math.isfinite(values["tol"]) and values["tol"] >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {values['tol']}")
 
-    tol = getattr(args, "tol")
-    if tol is None:
-        tol = config.get("tol")
-    if tol is None and os.environ.get(ENV_TOL):
-        tol = float(os.environ[ENV_TOL])
-    if tol is None:
-        tol = DEFAULT_TOL
-
-    interval_text = pick("interval")
-    interval = _parse_interval(interval_text) if interval_text is not None else None
-
-    params = ConvexityParams(
-        float(pick("s", default=1.0)),
-        float(pick("alpha", default=1.0)),
-        float(pick("m", default=1.0)),
-        str(pick("sense", default="first")),
-    )
-
-    fmt = str(pick("format", default="text"))
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-
-    theorem = pick("theorem")
-    if theorem is not None and theorem not in THEOREM_IDS:
-        raise ValueError(f"theorem must be one of {THEOREM_IDS}, got {theorem!r}")
-
-    p = pick("p")
+    del values["config"]
+    interval = values.pop("interval")
+    params = ConvexityParams(*(values.pop(k) for k in ("s", "alpha", "m", "sense")))
     return Command(
-        subcommand=args.subcommand,
-        function_text=pick("function", attr="function_text"),
-        interval=interval,
+        args.subcommand,
+        interval=None if interval is None else _parse_interval(interval),
         params=params,
-        p=float(p) if p is not None else None,
-        theorem=theorem,
-        tol=float(tol),
-        grid=int(pick("grid", default=DEFAULT_GRID)),
-        format=fmt,
-        seed=int(pick("seed", default=0)),
-        n=int(pick("n", default=2)),
+        **values,
     )
 
 

@@ -113,7 +113,7 @@ def certify(
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    if tolerance < 0.0:
+    if not tolerance >= 0.0:
         raise ValueError("tolerance must be non-negative")
 
     points = np.linspace(interval.a, interval.b, grid_n)

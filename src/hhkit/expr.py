@@ -47,6 +47,10 @@ class DerivativeUndefinedError(DomainError):
     """The requested derivative does not exist at this point (abs at 0, x^c at 0 for c < 1)."""
 
 
+class NonConvergenceError(RuntimeError):
+    """Numeric refinement failed to reach the requested tolerance."""
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [a, b] with a < b, both finite."""

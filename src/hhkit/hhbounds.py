@@ -27,14 +27,12 @@ import numpy as np
 from . import convexity, kernels
 from .convexity import ConvexityParams
 from .expr import DerivedFunction, FunctionSpec, Interval
-from .kernels import HolderExponents
-from .quadrature import reference_integrate
+from .kernels import HolderExponents, gauss_legendre_01
+from .quadrature import oracle_integral, reference_integrate
 
 THEOREM_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
 _PLAIN_IDS = ("T1", "T4")  # hypothesis on |f'| itself, no exponent p involved
-
-_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class BoundReport:
 
 @lru_cache(maxsize=256)
 def _signed_gap(f: FunctionSpec, interval: Interval) -> float:
-    integral = reference_integrate(f, interval, tol=_GAP_TOL)
+    integral = oracle_integral(f, interval)
     endpoint_avg = (f(interval.a) + f(interval.b)) / 2.0
     return endpoint_avg - integral / interval.width
 
@@ -60,18 +58,26 @@ def hh_gap(f: FunctionSpec, interval: Interval) -> float:
     return abs(_signed_gap(f, interval))
 
 
+def classical_hh_margins(
+    f: FunctionSpec, interval: Interval
+) -> tuple[float, float, float, float]:
+    """Both ends and both slacks of the classical midpoint/average/endpoint chain.
+
+    Returns (midpoint, endpoint_avg, integral_avg - midpoint,
+    endpoint_avg - integral_avg); each slack is nonnegative for convex f.
+    """
+    integral_avg = oracle_integral(f, interval) / interval.width
+    midpoint = f((interval.a + interval.b) / 2.0)
+    endpoint_avg = (f(interval.a) + f(interval.b)) / 2.0
+    return midpoint, endpoint_avg, integral_avg - midpoint, endpoint_avg - integral_avg
+
+
 def classical_hh_check(
     f: FunctionSpec, interval: Interval, tol: float = 1e-9
 ) -> tuple[bool, bool]:
-    """Check the two halves of the classical midpoint/average/endpoint chain.
-
-    Returns (midpoint_ok, endpoint_ok): midpoint value below the integral
-    average, and integral average below the endpoint average, each up to tol.
-    """
-    integral_avg = reference_integrate(f, interval, tol=_GAP_TOL) / interval.width
-    midpoint = f((interval.a + interval.b) / 2.0)
-    endpoint_avg = (f(interval.a) + f(interval.b)) / 2.0
-    return midpoint <= integral_avg + tol, integral_avg <= endpoint_avg + tol
+    """(midpoint_ok, endpoint_ok): each slack of classical_hh_margins is >= -tol."""
+    _, _, lower, upper = classical_hh_margins(f, interval)
+    return lower >= -tol, upper >= -tol
 
 
 def _require_hp(theorem_id: str, hp: Optional[HolderExponents]) -> HolderExponents:
@@ -127,6 +133,25 @@ def theorem_bound(
     return w / 3.0 ** (1.0 / p) * core ** (1.0 / q)
 
 
+def holder_pairs(
+    theorem_id: str, ps: tuple[float, ...]
+) -> tuple[Optional[HolderExponents], ...]:
+    """The hp arguments the theorem takes for the exponents ps: (None,) for
+    T1 and T4, which involve no exponent, one pair per p otherwise."""
+    if theorem_id in _PLAIN_IDS:
+        return (None,)
+    return tuple(HolderExponents(p) for p in ps)
+
+
+def _derivative_power(f: FunctionSpec, q: Optional[float]) -> DerivedFunction:
+    """|f'| when q is None, |f'|^q otherwise."""
+    if q is None:
+        return DerivedFunction(lambda x: np.abs(f.derivative(x)), f.domain, f"|({f.text})'|")
+    return DerivedFunction(
+        lambda x: np.abs(f.derivative(x)) ** q, f.domain, f"|({f.text})'|^{q:g}"
+    )
+
+
 def hypothesis_function(
     theorem_id: str, f: FunctionSpec, hp: Optional[HolderExponents] = None
 ) -> DerivedFunction:
@@ -137,14 +162,22 @@ def hypothesis_function(
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"theorem_id must be one of {THEOREM_IDS}, got {theorem_id!r}")
-    if theorem_id in _PLAIN_IDS:
-        return DerivedFunction(
-            lambda x: np.abs(f.derivative(x)), f.domain, f"|({f.text})'|"
-        )
-    q = _require_hp(theorem_id, hp).q
-    return DerivedFunction(
-        lambda x: np.abs(f.derivative(x)) ** q, f.domain, f"|({f.text})'|^{q:g}"
-    )
+    plain = theorem_id in _PLAIN_IDS
+    return _derivative_power(f, None if plain else _require_hp(theorem_id, hp).q)
+
+
+@lru_cache(maxsize=256)
+def _hypothesis_certified(
+    f: FunctionSpec,
+    q: Optional[float],
+    interval: Interval,
+    params: ConvexityParams,
+    grid_n: int,
+) -> bool:
+    # one lattice sweep per distinct hypothesis: T2, T3, T5 and T6 at one p
+    # all assume |f'|^q, and T1 and T4 both assume |f'|
+    hyp = _derivative_power(f, q)
+    return not convexity.certify(hyp, interval, params, grid_n).falsified
 
 
 def verify_theorem(
@@ -165,9 +198,9 @@ def verify_theorem(
     gap = hh_gap(f, interval)
     margin = bound - gap
 
-    hyp = hypothesis_function(theorem_id, f, hp)
+    q = None if theorem_id in _PLAIN_IDS else hp.q  # theorem_bound checked hp
     hyp_params = ConvexityParams(params.s, params.alpha, params.m, "first")
-    cert = convexity.certify(hyp, interval, hyp_params, grid_n)
+    certified = _hypothesis_certified(f, q, interval, hyp_params, grid_n)
 
     inputs = {
         "theorem": theorem_id,
@@ -179,9 +212,9 @@ def verify_theorem(
         "m": params.m,
         "sense": "first",
     }
-    if theorem_id not in _PLAIN_IDS:
+    if q is not None:
         inputs["p"] = hp.p
-        inputs["q"] = hp.q
+        inputs["q"] = q
 
     return BoundReport(
         theorem_id=theorem_id,
@@ -189,7 +222,7 @@ def verify_theorem(
         rhs_bound=bound,
         margin=margin,
         holds=margin >= -tol,
-        hypothesis_certified=not cert.falsified,
+        hypothesis_certified=certified,
         inputs=inputs,
     )
 
@@ -201,12 +234,6 @@ class GapIdentityResiduals:
     double_integral: float
     single_residual: float
     double_residual: float
-
-
-@lru_cache(maxsize=None)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 def lemma_identity_residuals(
@@ -229,7 +256,7 @@ def lemma_identity_residuals(
         lambda t: (1.0 - 2.0 * t) * dline(t), Interval(0.0, 1.0), tol=1e-12
     )
 
-    t, wt = _gl_nodes(tensor_nodes)
+    t, wt = gauss_legendre_01(tensor_nodes)
     dvals = np.asarray(dline(t), dtype=float)
     # integrand (d(t) - d(u)) (u - t) splits into rank-one tensor products
     diff = dvals[:, None] - dvals[None, :]

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import NonConvergenceError
+from .expr import NonConvergenceError
 
 # primary and cross-check node counts; disagreement between them means the
 # node budget is too small for the requested exponent and is reported, never
@@ -122,7 +122,7 @@ def _validate_exponent(alpha_s: float) -> None:
 
 
 @lru_cache(maxsize=None)
-def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to (0, 1)."""
     x, w = np.polynomial.legendre.leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0
@@ -140,7 +140,7 @@ def _graded(eta: np.ndarray, weta: np.ndarray, lo: float, hi: float, at_lo: bool
 
 def _line_moment(profile: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     """integral over (0,1) of profile(t) * |1 - 2t| dt, split at t = 1/2."""
-    eta, weta = _gl01(n)
+    eta, weta = gauss_legendre_01(n)
     total = 0.0
     # cluster toward t = 0 on the left half (profile may be t^c, c < 1) and
     # toward nothing special on the right, where plain GL suffices
@@ -154,7 +154,7 @@ def _line_moment(profile: Callable[[np.ndarray], np.ndarray], n: int) -> float:
 
 def _line_power(p: float, n: int) -> float:
     """integral over (0,1) of |1 - 2t|^p dt, split at the kink."""
-    eta, weta = _gl01(n)
+    eta, weta = gauss_legendre_01(n)
     total = 0.0
     for lo, hi, at_lo in ((0.0, 0.5, False), (0.5, 1.0, True)):
         t, wt = _graded(eta, weta, lo, hi, at_lo)
@@ -171,10 +171,10 @@ def _pair_moment(
     the profile t^c near t = 0: the outer variable is graded toward u = 0 and
     the inner panels use cubic maps that place t = 0 at a clustered endpoint.
     """
-    ups, wups = _gl01(n_outer)
+    ups, wups = gauss_legendre_01(n_outer)
     u = ups**3
     wu = wups * 3.0 * ups**2
-    eta, weta = _gl01(n_inner)
+    eta, weta = gauss_legendre_01(n_inner)
     cubic_w = weta * 3.0 * eta**2
 
     # left panel: t = u * eta^3 runs over (0, u), clustered at t = 0
@@ -198,8 +198,8 @@ def _pair_power(p: float, n_outer: int, n_inner: int) -> float:
     non-smooth gets a cubic clustering map: the inner split clusters at t = u
     from both sides, the outer split clusters at u = 0 and u = 1.
     """
-    ups, wups = _gl01(n_outer)
-    eta, weta = _gl01(n_inner)
+    ups, wups = gauss_legendre_01(n_outer)
+    eta, weta = gauss_legendre_01(n_inner)
     cubic_inner = weta * 3.0 * eta**2
     cubic_outer = wups * 3.0 * ups**2
 

@@ -129,9 +129,9 @@ def mean(req: MeanRequest) -> float:
     return extended_p_logarithmic(a, b, req.p)
 
 
-def mean_chain_check(a: float, b: float, tol: float = 1e-12) -> bool:
-    """True iff harmonic <= geometric <= logarithmic <= identric <= arithmetic
-    holds at (a, b) up to tol."""
+def mean_chain_margins(a: float, b: float) -> tuple[float, ...]:
+    """The four slacks hi - lo of harmonic <= geometric <= logarithmic <=
+    identric <= arithmetic at (a, b); all are nonnegative in exact arithmetic."""
     if not (0.0 < a <= b):
         raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
     chain = (
@@ -141,7 +141,12 @@ def mean_chain_check(a: float, b: float, tol: float = 1e-12) -> bool:
         _identric(a, b),
         _arithmetic(a, b),
     )
-    return all(lo <= hi + tol for lo, hi in zip(chain, chain[1:]))
+    return tuple(hi - lo for lo, hi in zip(chain, chain[1:]))
+
+
+def mean_chain_check(a: float, b: float, tol: float = 1e-12) -> bool:
+    """True iff every slack of mean_chain_margins is >= -tol."""
+    return all(margin >= -tol for margin in mean_chain_margins(a, b))
 
 
 def proposition_check(

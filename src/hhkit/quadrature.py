@@ -15,20 +15,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
 from . import convexity
-from .expr import FunctionSpec, Interval
+from .expr import FunctionSpec, Interval, NonConvergenceError
+from .kernels import kernel_constants
 
 BOUND_VARIANTS = ("P4", "P5")
 
 N_CAP = 2**24
 
-
-class NonConvergenceError(RuntimeError):
-    """Numeric refinement failed to reach the requested tolerance."""
+ORACLE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +85,11 @@ def trapezoid_sum(f, partition: Partition) -> float:
 
 
 def _p4_base(s: float) -> float:
-    return (s * 2.0**s + 1.0) / (2.0**s * (s + 1.0) * (s + 2.0))
+    return kernel_constants(s).v1
 
 
 def _p5_base(s: float) -> float:
-    return (s * s + 3.0 * s + 4.0) / ((s + 1.0) * (s + 2.0) * (s + 3.0))
+    return 2.0 * kernel_constants(s).u1
 
 
 def bound_constant(variant: str, s: float, p: float) -> float:
@@ -170,6 +170,16 @@ def reference_integrate(
     return float(
         _adaptive_simpson(fn, a, fa, m, fm, b, fb, whole, tol, 0, max_depth)
     )
+
+
+@lru_cache(maxsize=256)
+def oracle_integral(f: FunctionSpec, interval: Interval) -> float:
+    """The integral of f at ORACLE_TOL, computed once per (f, interval).
+
+    The gap, the classical chain and the suite's trapezoid errors all compare
+    against this one value.
+    """
+    return reference_integrate(f, interval, tol=ORACLE_TOL)
 
 
 # ---------------------------------------------------------------------------

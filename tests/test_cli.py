@@ -211,6 +211,54 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_flag_is_usage_error(capsys, value):
+    code, out, err = run(
+        capsys, "certify", "--function", "-(x^2)", "--interval", "0:1", "--tol", value
+    )
+    assert code == 2
+    assert out == ""
+    assert "tol must be finite" in err
+
+
+def test_nan_tol_flag_on_verify_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--theorem", "T1", "--function", "x^2", "--interval", "0:1",
+        "--tol", "nan",
+    )
+    assert code == 2
+    assert out == ""
+    assert "tol must be finite" in err
+
+
+def test_negative_tol_on_verify_is_usage_error(capsys):
+    # a negative margin tolerance would report "violated" at a positive margin
+    code, out, err = run(
+        capsys, "verify", "--theorem", "T1", "--function", "x^2", "--interval", "0:1",
+        "--tol", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+def test_nan_tol_from_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "hhkit.json"
+    cfg.write_text(json.dumps({"tol": math.nan}))  # written as the token NaN
+    code, out, err = run(
+        capsys, "certify", "--function", "-(x^2)", "--interval", "0:1", "--config", str(cfg)
+    )
+    assert code == 2
+    assert "tol must be finite" in err
+
+
+def test_nan_tol_from_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HHKIT_TOL", "nan")
+    code, out, err = run(capsys, "certify", "--function", "-(x^2)", "--interval", "0:1")
+    assert code == 2
+    assert "tol must be finite" in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors and argv handling
 

@@ -193,6 +193,11 @@ def test_certify_validates_grid_and_tolerance():
         certify(f, UNIT, CLASSIC, tolerance=-1e-9)
 
 
+def test_certify_rejects_nan_tolerance():
+    with pytest.raises(ValueError):
+        certify(parse_function("x^2", UNIT), UNIT, CLASSIC, tolerance=math.nan)
+
+
 def test_corpus_texts_are_the_expected_five():
     assert len(FUNCTION_TEXTS) == 5
     assert len(corpus_functions()) == 5

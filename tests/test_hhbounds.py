@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
+from hhkit import convexity
 from hhkit.convexity import ConvexityParams
 from hhkit.corpus import DOMAIN, INTERVALS, corpus_functions
 from hhkit.expr import Interval, parse_function
 from hhkit.hhbounds import (
     THEOREM_IDS,
     classical_hh_check,
+    classical_hh_margins,
     hh_gap,
     hypothesis_function,
     lemma_identity_residuals,
@@ -70,6 +72,20 @@ def test_classical_chain_on_affine_with_equalities():
 def test_classical_chain_on_exp():
     iv = Interval(0.0, 2.0)
     assert classical_hh_check(parse_function("exp(x)", iv), iv) == (True, True)
+
+
+def test_classical_margins_agree_with_check():
+    cases = [(parse_function("x^2", UNIT), UNIT)]
+    cases.append((parse_function("x", Interval(2.0, 5.0)), Interval(2.0, 5.0)))
+    cases.append((parse_function("exp(x)", Interval(0.0, 2.0)), Interval(0.0, 2.0)))
+    cases += [(f, iv) for f in corpus_functions() for iv in INTERVALS]
+    for f, iv in cases:
+        midpoint, endpoint_avg, lower, upper = classical_hh_margins(f, iv)
+        assert midpoint == f((iv.a + iv.b) / 2.0)
+        assert endpoint_avg == (f(iv.a) + f(iv.b)) / 2.0
+        assert math.isclose(upper + lower, endpoint_avg - midpoint, abs_tol=1e-12)
+        for tol in (1e-9, 0.0):
+            assert classical_hh_check(f, iv, tol) == (lower >= -tol, upper >= -tol)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +221,31 @@ def test_falsified_hypothesis_is_reported_not_raised():
     report2 = verify_theorem("T1", g, UNIT, CLASSIC)
     assert not report2.hypothesis_certified
     assert isinstance(report2.holds, bool)
+
+
+def test_verify_theorem_certifies_each_hypothesis_once(monkeypatch):
+    calls = []
+    certify = convexity.certify
+
+    def counting(*args, **kwargs):
+        calls.append(args[3:])
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(convexity, "certify", counting)
+    # an expression no other test uses, so no earlier call has memoised it
+    f = parse_function("x^2 + exp(x)/7", UNIT)
+    reports = [verify_theorem(tid, f, UNIT, CLASSIC, HP2) for tid in ("T2", "T3", "T5", "T6")]
+    assert len(calls) == 1
+    assert len({r.hypothesis_certified for r in reports}) == 1
+    verify_theorem("T2", f, UNIT, CLASSIC, HolderExponents(3.0))  # new q
+    assert len(calls) == 2
+    verify_theorem("T3", f, UNIT, CLASSIC, HP2, grid_n=20)  # new grid
+    assert len(calls) == 3
+    verify_theorem("T1", f, UNIT, CLASSIC)
+    verify_theorem("T4", f, UNIT, CLASSIC)  # same |f'| hypothesis as T1
+    assert len(calls) == 4
+    verify_theorem("T1", f, UNIT, ConvexityParams(0.5, 1.0, 1.0, "first"))  # new params
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------

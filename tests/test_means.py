@@ -18,6 +18,7 @@ from hhkit.means import (
     extended_p_logarithmic,
     mean,
     mean_chain_check,
+    mean_chain_margins,
     proposition_check,
 )
 
@@ -137,6 +138,23 @@ def test_chain_on_random_pairs():
         if lo == hi:
             continue
         assert mean_chain_check(float(lo), float(hi))
+
+
+def test_chain_margins_agree_with_check():
+    rng = np.random.default_rng(1234)
+    pairs = [(2.0, 8.0), (3.0, 3.0), (1.0, 100.0)]
+    for _ in range(200):
+        lo, hi = np.sort(rng.uniform(1e-6, 100.0, size=2))
+        pairs.append((float(lo), float(hi)))
+    for a, b in pairs:
+        margins = mean_chain_margins(a, b)
+        assert len(margins) == 4
+        spread = _mean("arithmetic", a, b) - _mean("harmonic", a, b)
+        assert math.isclose(sum(margins), spread, rel_tol=1e-12, abs_tol=1e-12)
+        for tol in (1e-12, 0.0):
+            assert mean_chain_check(a, b, tol) == all(m >= -tol for m in margins)
+    with pytest.raises(ValueError):
+        mean_chain_margins(5.0, 2.0)
 
 
 def test_extended_p_logarithmic_is_monotone_in_p():

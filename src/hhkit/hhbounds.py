@@ -137,10 +137,10 @@ def holder_pairs(
     theorem_id: str, ps: tuple[float, ...]
 ) -> tuple[Optional[HolderExponents], ...]:
     """The hp arguments the theorem takes for the exponents ps: (None,) for
-    T1 and T4, which involve no exponent, one pair per p otherwise."""
-    if theorem_id in _PLAIN_IDS:
-        return (None,)
-    return tuple(HolderExponents(p) for p in ps)
+    T1 and T4, which involve no exponent, one pair per p otherwise.  Every p
+    is validated either way, so an invalid p is rejected for all theorems."""
+    pairs = tuple(HolderExponents(p) for p in ps)
+    return (None,) if theorem_id in _PLAIN_IDS else pairs
 
 
 def _derivative_power(f: FunctionSpec, q: Optional[float]) -> DerivedFunction:

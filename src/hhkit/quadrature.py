@@ -13,6 +13,7 @@ code path, and doubles as the ground-truth oracle elsewhere in the package.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import convexity
-from .expr import FunctionSpec, Interval, NonConvergenceError
+from .expr import DomainError, FunctionSpec, Interval, NonConvergenceError
 from .kernels import kernel_constants
 
 BOUND_VARIANTS = ("P4", "P5")
@@ -184,12 +185,46 @@ def oracle_integral(f: FunctionSpec, interval: Interval) -> float:
 
 # ---------------------------------------------------------------------------
 # guaranteed-error integration
+#
+# On a uniform grid of n panels the bound is B(n) = C * w * T_n(|f'|) / n, with
+# C = min(P4, P5 constant), w the interval width and T_n the trapezoid sum of
+# |f'|.  T_n tends to V = integral of |f'|, so the smallest sufficient n is close
+# to C * w * V / tol, and one small pass predicts it.
+#
+# The same pass gives a lower bound on that n.  The certified class (s, 1, 1,
+# first) at mu = 1/2, added to itself with x and y swapped, makes |f'| midpoint
+# convex, hence convex, |f'| being continuous.  The Hermite-Hadamard inequalities
+# then give M <= V <= T_n for the midpoint sum M on any uniform grid, so
+# B(n) <= tol needs n >= C * w * T_n / tol >= C * w * M / tol.  The search takes
+# every n below that bound as failing, after shrinking it by ROUNDING_SLACK, far
+# more than the rounding error of either floating-point sum.
+
+PREDICT_PANELS = 1024  # the prediction pass samples |f'| on 2 * PREDICT_PANELS panels
+
+ROUNDING_SLACK = 1e-12
 
 
 def _uniform_bound(f, interval: Interval, n: int, s: float, p: float) -> tuple[float, float]:
     pts = np.linspace(interval.a, interval.b, n + 1)
     panel = _panel_sum(f, pts)
     return bound_constant("P4", s, p) * panel, bound_constant("P5", s, p) * panel
+
+
+def _predict_n(f, interval: Interval, tol: float, s: float, p: float) -> tuple[float, float]:
+    """(C * w * M / tol, C * w * V / tol) from one pass of |f'| on 2 * PREDICT_PANELS
+    panels: M is the midpoint sum over PREDICT_PANELS panels, V the trapezoid sums
+    over both panel counts, Richardson-extrapolated."""
+    w = interval.b - interval.a
+    m = PREDICT_PANELS
+    pts = np.linspace(interval.a, interval.b, 2 * m + 1)
+    d = np.abs(np.asarray(f.derivative(pts), dtype=float))
+    ends = (d[0] + d[-1]) / 2.0
+    fine = w / (2 * m) * float(np.sum(d) - ends)
+    coarse = w / m * float(np.sum(d[::2]) - ends)
+    midpoint = w / m * float(np.sum(d[1::2]))
+    variation = max((4.0 * fine - coarse) / 3.0, 0.0)
+    c = min(bound_constant("P4", s, p), bound_constant("P5", s, p))
+    return c * w * midpoint / tol, c * w * variation / tol
 
 
 def integrate_with_guarantee(
@@ -205,14 +240,32 @@ def integrate_with_guarantee(
 ) -> QuadratureResult:
     """Uniform trapezoid integration with min(bound_p4, bound_p5) <= tol.
 
-    Doubles the panel count until a bound certifies tol, then bisects down to
-    the smallest such n.  The |f'| hypothesis behind the bounds is checked by
-    convexity.certify with parameters (s, 1, 1, first); a falsified hypothesis
-    raises unless allow_uncertified is set, in which case a warning is issued
-    and the bounds are reported as computed.
+    One pass over 2 * PREDICT_PANELS panels estimates V = integral of |f'| and
+    predicts n0 = max(1, ceil(C * w * V / tol)).  With a certified hypothesis
+    the same pass proves B(n) > tol for every n below a lower bound (see the
+    note above _uniform_bound).  The bound then confirms a bracket
+    B(n) <= tol < B(n - 1): from n0 the search steps away from the side it
+    knows by 1, 2, 4, ... panels and bisects once both sides are known, the
+    lower side being known from the start when the lower bound exists.  An
+    accurate prediction needs one or two full passes, a poor one O(log n),
+    and no pass is repeated.  The returned n is the smallest with
+    B(n) <= tol, given that B is nonincreasing in n.  If f' is undefined at a
+    point of the prediction grid (a kink), the search starts from n0 = 1.
+
+    NonConvergenceError is raised when that n exceeds n_cap, and only then.
+    A request whose lower bound exceeds n_cap is refused before any full-size
+    array is allocated; otherwise a prediction past n_cap is settled by
+    evaluating B(n_cap).
+
+    The |f'| hypothesis behind the bounds is checked by convexity.certify with
+    parameters (s, 1, 1, first); a falsified hypothesis raises unless
+    allow_uncertified is set, in which case a warning is issued and the bounds
+    are reported as computed.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if n_cap < 1:
+        raise ValueError(f"n_cap must be at least 1, got {n_cap}")
 
     hyp = lambda x: np.abs(f.derivative(x))  # noqa: E731
     cert = convexity.certify(
@@ -227,30 +280,51 @@ def integrate_with_guarantee(
             raise ValueError(msg + " (pass allow_uncertified=True to proceed)")
         warnings.warn(msg)
 
-    n = 1
+    least, predicted = 1, 1.0  # every n < least fails
+    try:
+        lower, predicted = _predict_n(f, interval, tol, s, p)
+    except DomainError:
+        pass  # f' is undefined at a point of the prediction grid
+    else:
+        if not cert.falsified:
+            lower *= 1.0 - ROUNDING_SLACK
+            if lower > n_cap:
+                raise NonConvergenceError(
+                    f"tol {tol:.3e} needs a predicted n = {predicted:.0f} panels "
+                    f"(at least {lower:.0f}), past n_cap = {n_cap}"
+                )
+            least = max(1, math.ceil(lower))
+
+    bounds: dict[int, tuple[float, float]] = {}
+
+    def passes(n: int) -> bool:
+        bounds[n] = _uniform_bound(f, interval, n, s, p)
+        return min(bounds[n]) <= tol
+
+    lo, hi = least - 1, None  # B(lo) > tol (lo = 0: no panels) and B(hi) <= tol
+    n, step = max(least, math.ceil(min(predicted, n_cap))), 1
     while True:
-        b4, b5 = _uniform_bound(f, interval, n, s, p)
-        if min(b4, b5) <= tol:
-            break
-        if n >= n_cap:
+        if passes(n):
+            hi = n
+        elif n == n_cap:
             raise NonConvergenceError(
-                f"bound still {min(b4, b5):.3e} > tol {tol:.3e} at n = {n}"
+                f"bound still {min(bounds[n]):.10g} > tol {tol:.10g} at n = n_cap = {n_cap}"
             )
-        n *= 2
-
-    lo, hi = n // 2, n  # bound(lo) failed (or lo == 0), bound(hi) passed
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        b4, b5 = _uniform_bound(f, interval, mid, s, p)
-        if min(b4, b5) <= tol:
-            hi = mid
         else:
-            lo = mid
+            lo = n
+        if hi is not None and hi - lo == 1:
+            break
+        if hi is None:
+            n = min(lo + step, n_cap)
+        elif lo == 0:
+            n = max(hi - step, 1)
+        else:
+            n = (lo + hi) // 2
+        step *= 2
 
-    part = Partition.uniform(interval, hi)
-    b4, b5 = _uniform_bound(f, interval, hi, s, p)
+    b4, b5 = bounds[hi]
     return QuadratureResult(
-        value=trapezoid_sum(f, part),
+        value=trapezoid_sum(f, Partition.uniform(interval, hi)),
         bound_p4=b4,
         bound_p5=b5,
         n=hi,

@@ -288,6 +288,29 @@ def test_unknown_theorem_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("subcommand", ["bound", "verify"])
+@pytest.mark.parametrize("theorem", ["T1", "T4"])
+def test_invalid_p_with_plain_theorem_is_usage_error(capsys, subcommand, theorem):
+    # T1 and T4 take no exponent, but an invalid --p is still rejected, as it
+    # is when no theorem is named
+    code, out, err = run(
+        capsys, subcommand, "--theorem", theorem, "--function", "x^2",
+        "--interval", "0:1", "--p", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "p must exceed 1" in err
+
+
+def test_integrate_past_panel_cap_is_refused_with_predicted_n(capsys):
+    # the default tol 1e-6 needs about 5.7e7 panels for x^4 on [1, 3]
+    code, out, err = run(capsys, "integrate", "--function", "x^4", "--interval", "1:3")
+    assert code == 2
+    assert out == ""
+    assert "predicted n = 56568542" in err
+    assert "n_cap = 16777216" in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -1,10 +1,13 @@
 """Trapezoid sums, a-priori error bounds, guaranteed integration, and the oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hhkit import quadrature
+from hhkit.convexity import ConvexityParams, certify
 from hhkit.corpus import DOMAIN, INTERVALS, corpus_functions
 from hhkit.expr import Interval, parse_function
 from hhkit.kernels import kernel_constants
@@ -14,6 +17,7 @@ from hhkit.quadrature import (
     Partition,
     _p4_base,
     _p5_base,
+    _uniform_bound,
     bound_constant,
     integrate_with_guarantee,
     reference_integrate,
@@ -198,6 +202,142 @@ def test_guarantee_validation_and_cap():
     with pytest.raises(NonConvergenceError):
         integrate_with_guarantee(f, Interval(0.0, 3.0), 1e-6, n_cap=1024)
     assert N_CAP == 2**24
+
+
+def test_guarantee_cap_is_the_largest_allowed_minimal_n():
+    # n_cap = 3181981 is no power of two; the answer may equal it but not pass it
+    iv = Interval(0.0, 3.0)
+    f = parse_function("x", iv)
+    assert integrate_with_guarantee(f, iv, 1e-6, n_cap=3181981).n == 3181981
+    with pytest.raises(NonConvergenceError, match="n_cap = 3181980"):
+        integrate_with_guarantee(f, iv, 1e-6, n_cap=3181980)
+
+
+def test_guarantee_refuses_a_tolerance_that_predicts_infinite_n():
+    iv = Interval(0.0, 3.0)
+    with pytest.raises(NonConvergenceError, match="at least inf"):
+        integrate_with_guarantee(parse_function("x", iv), iv, 1e-320)
+
+
+def _doubling_bisection_n(f, iv, tol, s=1.0, p=2.0):
+    """The search integrate_with_guarantee used before its prediction: double
+    n until the bound passes, then bisect down to the smallest passing n."""
+    n = 1
+    while min(_uniform_bound(f, iv, n, s, p)) > tol:
+        n *= 2
+    lo, hi = n // 2, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if min(_uniform_bound(f, iv, mid, s, p)) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _certified_corpus_cases():
+    classic = ConvexityParams(1.0, 1.0, 1.0, "first")
+    for f in corpus_functions():
+        for iv in INTERVALS:
+            hyp = lambda x: np.abs(f.derivative(x))  # noqa: B023
+            if not certify(hyp, iv, classic, grid_n=30).falsified:
+                yield f, iv
+
+
+def test_guarantee_n_matches_doubling_bisection_on_corpus():
+    cases = list(_certified_corpus_cases())
+    assert len(cases) == 15
+    for f, iv in cases:
+        for tol in (1e-2, 1e-4):
+            result = integrate_with_guarantee(f, iv, tol)
+            assert result.n == _doubling_bisection_n(f, iv, tol), (f.text, iv, tol)
+
+
+@pytest.fixture
+def bound_calls(monkeypatch):
+    """The n of every full-size bound pass, in call order."""
+    calls = []
+    monkeypatch.setattr(
+        quadrature, "_uniform_bound", lambda *args: calls.append(args[2]) or _uniform_bound(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("keep_lower", [True, False])
+@pytest.mark.parametrize("scale", [0.0, 0.1, 0.9, 1.1, 10.0])
+def test_guarantee_recovers_from_a_poor_prediction(monkeypatch, bound_calls, scale, keep_lower):
+    # stepping away from a wrong prediction and bisecting still finds the
+    # minimal n, in O(log n) passes and without repeating one, with or without
+    # the lower bound from the prediction pass
+    f = parse_function("exp(2*x)", DOMAIN)
+    iv = Interval(0.0, 2.0)
+    predict = quadrature._predict_n
+
+    def poor(*args):
+        lower, estimate = predict(*args)
+        return lower if keep_lower else 0.0, scale * estimate
+
+    monkeypatch.setattr(quadrature, "_predict_n", poor)
+    assert integrate_with_guarantee(f, iv, 1e-2).n == 3790
+    assert len(bound_calls) == len(set(bound_calls))
+    assert len(bound_calls) <= 2 * math.log2(max(1.0, scale) * 3790) + 2, bound_calls
+
+
+def test_guarantee_prediction_past_the_cap_is_not_a_refusal(bound_calls):
+    # |f'| = 1/(x + 1e-6) is so steep at 0 that 2048 panels overestimate its
+    # integral tenfold: the prediction is past n_cap but the minimal n is not
+    iv = Interval(0.0, 1.0)
+    f = parse_function("log(x+0.000001)", iv)
+    lower, estimate = quadrature._predict_n(f, iv, 5e-5, 1.0, 2.0)
+    assert lower < 200_000 < estimate
+    result = integrate_with_guarantee(f, iv, 5e-5, n_cap=200_000)
+    assert result.n == _doubling_bisection_n(f, iv, 5e-5) == 115813
+    assert len(bound_calls) <= 2 * math.log2(200_000), bound_calls
+
+
+def test_guarantee_falsified_hypothesis_is_never_refused_early():
+    # |f'| = 1.25 x^0.25 is concave, so the midpoint sum overestimates its
+    # integral and its "lower bound" (117852.4) exceeds the minimal n
+    iv = Interval(0.0, 1.0)
+    f = parse_function("x^1.25", iv)
+    with pytest.warns(UserWarning, match="falsified"):
+        result = integrate_with_guarantee(f, iv, 3e-6, allow_uncertified=True, n_cap=117852)
+    assert result.n == _doubling_bisection_n(f, iv, 3e-6) == 117852
+
+
+def test_guarantee_kink_on_the_prediction_grid_starts_from_one():
+    # x = 0.375 is a point of the 2048-panel prediction grid, where f' is undefined
+    f = parse_function("abs(x-0.375)", UNIT)
+    result = integrate_with_guarantee(f, UNIT, 0.1)
+    assert result.n == _doubling_bisection_n(f, UNIT, 0.1) == 4
+
+
+def test_guarantee_constant_function_needs_one_panel():
+    result = integrate_with_guarantee(parse_function("7", UNIT), UNIT, 1e-9)
+    assert result.n == 1
+    assert result.value == 7.0
+    assert result.bound_p4 == 0.0 and result.bound_p5 == 0.0
+
+
+def test_guarantee_makes_at_most_three_full_passes(bound_calls):
+    iv = Interval(1.0, 3.0)
+    result = integrate_with_guarantee(parse_function("exp(2*x)", DOMAIN), iv, 1e-4)
+    assert result.n == 2800424
+    assert len(bound_calls) <= 3, bound_calls
+
+
+def test_guarantee_over_cap_refusal_allocates_no_full_arrays():
+    # the minimal n is about 5.7e7 > N_CAP; refusing must not build any n-sized grid
+    iv = Interval(1.0, 3.0)
+    f = parse_function("x^4", iv)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError, match=r"n = 56568542 .* n_cap = 16777216"):
+            integrate_with_guarantee(f, iv, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 # ---------------------------------------------------------------------------

@@ -58,17 +58,19 @@ _SUITE_P3_NS = (2, 3)
 
 @dataclass(frozen=True)
 class Command:
+    """One resolved invocation: _resolve sets every field, defaults from _FLAGS."""
+
     subcommand: str
-    function: Optional[str] = None
-    interval: Optional[Interval] = None
-    params: ConvexityParams = ConvexityParams(1.0, 1.0, 1.0, "first")
-    p: float = 2.0  # Holder exponent for T2/T3/T5/T6, the integrate bounds and P1-P3
-    theorem: Optional[str] = None
-    tol: float = DEFAULT_TOL
-    grid: int = DEFAULT_GRID
-    format: str = "text"
-    seed: int = 0
-    n: int = 2  # power-mean order used by the P3 check
+    function: Optional[str]
+    interval: Optional[Interval]
+    params: ConvexityParams
+    p: float  # Holder exponent for T2/T3/T5/T6, the integrate bounds and P1-P3
+    theorem: Optional[str]
+    tol: float
+    grid: int
+    format: str
+    seed: int
+    n: int  # power-mean order used by the P3 check
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -507,6 +507,13 @@ def format_expression(node: ExprNode) -> str:
 _CONSTRUCTION_GRID = 129
 
 
+def _shaped_like(out, x):
+    """A float for a scalar x, else a fresh float array of x's shape."""
+    if isinstance(x, np.ndarray):
+        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+    return float(out)
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """An expression restricted to a closed domain, finite on a construction-time sample grid."""
@@ -519,54 +526,43 @@ class FunctionSpec:
         if not self.text:
             object.__setattr__(self, "text", format_expression(self.body))
         grid = np.linspace(self.domain.a, self.domain.b, _CONSTRUCTION_GRID)
-        with np.errstate(all="ignore"):
-            vals = self.body.evaluate(grid)
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(self._evaluate(grid, dual=False))):
             raise DomainError(
                 f"{self.text!r} is not finite everywhere on [{self.domain.a}, {self.domain.b}]"
             )
 
-    def _domain_slack(self) -> float:
-        return 1e-9 * max(1.0, abs(self.domain.a), abs(self.domain.b))
-
-    def _check_domain(self, x):
-        if not self.domain.contains(x, slack=self._domain_slack()):
+    def _evaluate(self, x, dual: bool):
+        """The tree at x, or at the dual seed (x, 1); x is checked against the domain first."""
+        slack = 1e-9 * max(1.0, abs(self.domain.a), abs(self.domain.b))
+        if not self.domain.contains(x, slack=slack):
             raise DomainError(
                 f"input outside domain [{self.domain.a}, {self.domain.b}] of {self.text!r}"
             )
+        if dual:
+            if isinstance(x, np.ndarray):
+                x = DualValue(x, np.ones_like(x, dtype=float))
+            else:
+                x = DualValue(float(x), 1.0)
+        with np.errstate(all="ignore"):
+            return self.body.evaluate(x)
 
     def value(self, x: Scalar) -> Scalar:
         """Evaluate at a float or ndarray; raises DomainError off-domain or on non-finite results."""
-        self._check_domain(x)
-        with np.errstate(all="ignore"):
-            out = self.body.evaluate(x)
+        out = self._evaluate(x, dual=False)
         if not np.all(np.isfinite(out)):
             raise DomainError(f"{self.text!r} produced a non-finite value")
-        if isinstance(x, np.ndarray):
-            return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
-        return float(out)
+        return _shaped_like(out, x)
 
     __call__ = value
 
     def eval_with_derivative(self, x: Scalar) -> DualValue:
         """Forward-mode evaluation returning the (value, derivative) pair at x."""
-        self._check_domain(x)
-        if isinstance(x, np.ndarray):
-            seed = DualValue(x, np.ones_like(x, dtype=float))
-        else:
-            seed = DualValue(float(x), 1.0)
-        with np.errstate(all="ignore"):
-            out = self.body.evaluate(seed)
+        out = self._evaluate(x, dual=True)
         if not isinstance(out, DualValue):  # constant-only body
             out = DualValue(out, 0.0 * np.asarray(x, dtype=float))
         if not (np.all(np.isfinite(out.value)) and np.all(np.isfinite(out.derivative))):
             raise DomainError(f"{self.text!r} produced a non-finite value or derivative")
-        if isinstance(x, np.ndarray):
-            return DualValue(
-                np.broadcast_to(np.asarray(out.value, dtype=float), x.shape).copy(),
-                np.broadcast_to(np.asarray(out.derivative, dtype=float), x.shape).copy(),
-            )
-        return DualValue(float(out.value), float(out.derivative))
+        return DualValue(_shaped_like(out.value, x), _shaped_like(out.derivative, x))
 
     def derivative(self, x: Scalar) -> Scalar:
         return self.eval_with_derivative(x).derivative
@@ -585,6 +581,15 @@ class DerivedFunction:
         return self.fn(x)
 
     value = __call__
+
+
+def derivative_power(f: FunctionSpec, q: Optional[float] = None) -> DerivedFunction:
+    """|f'| when q is None, |f'|^q otherwise."""
+    if q is None:
+        return DerivedFunction(lambda x: np.abs(f.derivative(x)), f.domain, f"|({f.text})'|")
+    return DerivedFunction(
+        lambda x: np.abs(f.derivative(x)) ** q, f.domain, f"|({f.text})'|^{q:g}"
+    )
 
 
 def parse_function(text: str, domain: Interval) -> FunctionSpec:

@@ -26,13 +26,15 @@ import numpy as np
 
 from . import convexity, kernels
 from .convexity import ConvexityParams
-from .expr import DerivedFunction, FunctionSpec, Interval
+from .expr import DerivedFunction, FunctionSpec, Interval, derivative_power
 from .kernels import HolderExponents, gauss_legendre_01
 from .quadrature import oracle_integral, reference_integrate
 
 THEOREM_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
 _PLAIN_IDS = ("T1", "T4")  # hypothesis on |f'| itself, no exponent p involved
+
+TENSOR_NODES = 48  # Gauss-Legendre nodes per axis for the double-integral representation
 
 
 @dataclass(frozen=True)
@@ -143,15 +145,6 @@ def holder_pairs(
     return (None,) if theorem_id in _PLAIN_IDS else pairs
 
 
-def _derivative_power(f: FunctionSpec, q: Optional[float]) -> DerivedFunction:
-    """|f'| when q is None, |f'|^q otherwise."""
-    if q is None:
-        return DerivedFunction(lambda x: np.abs(f.derivative(x)), f.domain, f"|({f.text})'|")
-    return DerivedFunction(
-        lambda x: np.abs(f.derivative(x)) ** q, f.domain, f"|({f.text})'|^{q:g}"
-    )
-
-
 def hypothesis_function(
     theorem_id: str, f: FunctionSpec, hp: Optional[HolderExponents] = None
 ) -> DerivedFunction:
@@ -163,7 +156,7 @@ def hypothesis_function(
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"theorem_id must be one of {THEOREM_IDS}, got {theorem_id!r}")
     plain = theorem_id in _PLAIN_IDS
-    return _derivative_power(f, None if plain else _require_hp(theorem_id, hp).q)
+    return derivative_power(f, None if plain else _require_hp(theorem_id, hp).q)
 
 
 @lru_cache(maxsize=256)
@@ -176,7 +169,7 @@ def _hypothesis_certified(
 ) -> bool:
     # one lattice sweep per distinct hypothesis: T2, T3, T5 and T6 at one p
     # all assume |f'|^q, and T1 and T4 both assume |f'|
-    hyp = _derivative_power(f, q)
+    hyp = derivative_power(f, q)
     return not convexity.certify(hyp, interval, params, grid_n).falsified
 
 
@@ -236,9 +229,7 @@ class GapIdentityResiduals:
     double_residual: float
 
 
-def lemma_identity_residuals(
-    f: FunctionSpec, interval: Interval, tensor_nodes: int = 48
-) -> GapIdentityResiduals:
+def lemma_identity_residuals(f: FunctionSpec, interval: Interval) -> GapIdentityResiduals:
     """Residuals of the two exact integral representations of the signed gap.
 
     Representation one integrates (1 - 2t) f'(ta + (1-t)b) over the unit
@@ -256,7 +247,7 @@ def lemma_identity_residuals(
         lambda t: (1.0 - 2.0 * t) * dline(t), Interval(0.0, 1.0), tol=1e-12
     )
 
-    t, wt = gauss_legendre_01(tensor_nodes)
+    t, wt = gauss_legendre_01(TENSOR_NODES)
     dvals = np.asarray(dline(t), dtype=float)
     # integrand (d(t) - d(u)) (u - t) splits into rank-one tensor products
     diff = dvals[:, None] - dvals[None, :]

@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import convexity
-from .expr import DomainError, FunctionSpec, Interval, NonConvergenceError
+from .expr import DomainError, FunctionSpec, Interval, NonConvergenceError, derivative_power
 from .kernels import kernel_constants
 
 BOUND_VARIANTS = ("P4", "P5")
@@ -30,6 +30,8 @@ BOUND_VARIANTS = ("P4", "P5")
 N_CAP = 2**24
 
 ORACLE_TOL = 1e-12
+
+CERTIFY_GRID_N = 30  # lattice size of the guarantee's |f'| hypothesis sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +80,14 @@ class QuadratureResult:
     certified_tolerance: float
 
 
+def _trapezoid(pts: np.ndarray, vals) -> float:
+    vals = np.asarray(vals, dtype=float)
+    return float(np.sum(np.diff(pts) * (vals[:-1] + vals[1:]) / 2.0))
+
+
 def trapezoid_sum(f, partition: Partition) -> float:
     """Composite trapezoid value of f over the partition."""
-    pts = partition.points
-    vals = np.asarray(f(pts), dtype=float)
-    return float(np.sum(np.diff(pts) * (vals[:-1] + vals[1:]) / 2.0))
+    return _trapezoid(partition.points, f(partition.points))
 
 
 def _p4_base(s: float) -> float:
@@ -108,8 +113,8 @@ def bound_constant(variant: str, s: float, p: float) -> float:
     return (2.0 / 3.0) ** (1.0 / p) * _p5_base(s) ** (1.0 / q)
 
 
-def _panel_sum(f, pts: np.ndarray) -> float:
-    d = np.abs(np.asarray(f.derivative(pts), dtype=float))
+def _panel_sum(pts: np.ndarray, derivative) -> float:
+    d = np.abs(np.asarray(derivative, dtype=float))
     return float(np.sum(np.diff(pts) ** 2 / 2.0 * (d[:-1] + d[1:])))
 
 
@@ -117,7 +122,8 @@ def trapezoid_error_bound(
     variant: str, f, partition: Partition, s: float = 1.0, p: float = 2.0
 ) -> float:
     """A-priori bound on |integral - trapezoid_sum| for the given variant."""
-    return bound_constant(variant, s, p) * _panel_sum(f, partition.points)
+    pts = partition.points
+    return bound_constant(variant, s, p) * _panel_sum(pts, f.derivative(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +210,19 @@ PREDICT_PANELS = 1024  # the prediction pass samples |f'| on 2 * PREDICT_PANELS 
 ROUNDING_SLACK = 1e-12
 
 
-def _uniform_bound(f, interval: Interval, n: int, s: float, p: float) -> tuple[float, float]:
+def _uniform_pass(f, interval: Interval, n: int, constants) -> tuple[float, float, float]:
+    """(trapezoid value, P4 bound, P5 bound) on n uniform panels, from one
+    evaluation of f and f' on the n + 1 points."""
     pts = np.linspace(interval.a, interval.b, n + 1)
-    panel = _panel_sum(f, pts)
-    return bound_constant("P4", s, p) * panel, bound_constant("P5", s, p) * panel
+    fd = f.eval_with_derivative(pts)
+    panel = _panel_sum(pts, fd.derivative)
+    return _trapezoid(pts, fd.value), constants[0] * panel, constants[1] * panel
 
 
-def _predict_n(f, interval: Interval, tol: float, s: float, p: float) -> tuple[float, float]:
+def _predict_n(f, interval: Interval, tol: float, c: float) -> tuple[float, float]:
     """(C * w * M / tol, C * w * V / tol) from one pass of |f'| on 2 * PREDICT_PANELS
-    panels: M is the midpoint sum over PREDICT_PANELS panels, V the trapezoid sums
-    over both panel counts, Richardson-extrapolated."""
+    panels, C = c: M is the midpoint sum over PREDICT_PANELS panels, V the
+    trapezoid sums over both panel counts, Richardson-extrapolated."""
     w = interval.b - interval.a
     m = PREDICT_PANELS
     pts = np.linspace(interval.a, interval.b, 2 * m + 1)
@@ -223,7 +232,6 @@ def _predict_n(f, interval: Interval, tol: float, s: float, p: float) -> tuple[f
     coarse = w / m * float(np.sum(d[::2]) - ends)
     midpoint = w / m * float(np.sum(d[1::2]))
     variation = max((4.0 * fine - coarse) / 3.0, 0.0)
-    c = min(bound_constant("P4", s, p), bound_constant("P5", s, p))
     return c * w * midpoint / tol, c * w * variation / tol
 
 
@@ -235,7 +243,6 @@ def integrate_with_guarantee(
     p: float = 2.0,
     *,
     allow_uncertified: bool = False,
-    certify_grid_n: int = 30,
     n_cap: int = N_CAP,
 ) -> QuadratureResult:
     """Uniform trapezoid integration with min(bound_p4, bound_p5) <= tol.
@@ -243,14 +250,16 @@ def integrate_with_guarantee(
     One pass over 2 * PREDICT_PANELS panels estimates V = integral of |f'| and
     predicts n0 = max(1, ceil(C * w * V / tol)).  With a certified hypothesis
     the same pass proves B(n) > tol for every n below a lower bound (see the
-    note above _uniform_bound).  The bound then confirms a bracket
+    note above _uniform_pass).  The bound then confirms a bracket
     B(n) <= tol < B(n - 1): from n0 the search steps away from the side it
     knows by 1, 2, 4, ... panels and bisects once both sides are known, the
     lower side being known from the start when the lower bound exists.  An
     accurate prediction needs one or two full passes, a poor one O(log n),
-    and no pass is repeated.  The returned n is the smallest with
-    B(n) <= tol, given that B is nonincreasing in n.  If f' is undefined at a
-    point of the prediction grid (a kink), the search starts from n0 = 1.
+    and no pass is repeated.  A pass evaluates f and f' together, once, so the
+    result reuses the confirming pass for its value as for its bounds.  The
+    returned n is the smallest with B(n) <= tol, given that B is nonincreasing
+    in n.  If f' is undefined at a point of the prediction grid (a kink), the
+    search starts from n0 = 1.
 
     NonConvergenceError is raised when that n exceeds n_cap, and only then.
     A request whose lower bound exceeds n_cap is refused before any full-size
@@ -258,19 +267,17 @@ def integrate_with_guarantee(
     evaluating B(n_cap).
 
     The |f'| hypothesis behind the bounds is checked by convexity.certify with
-    parameters (s, 1, 1, first); a falsified hypothesis raises unless
-    allow_uncertified is set, in which case a warning is issued and the bounds
-    are reported as computed.
+    parameters (s, 1, 1, first) on a CERTIFY_GRID_N lattice; a falsified
+    hypothesis raises unless allow_uncertified is set, in which case a warning
+    is issued and the bounds are reported as computed.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if n_cap < 1:
         raise ValueError(f"n_cap must be at least 1, got {n_cap}")
 
-    hyp = lambda x: np.abs(f.derivative(x))  # noqa: E731
-    cert = convexity.certify(
-        hyp, interval, convexity.ConvexityParams(s, 1.0, 1.0, "first"), certify_grid_n
-    )
+    params = convexity.ConvexityParams(s, 1.0, 1.0, "first")
+    cert = convexity.certify(derivative_power(f), interval, params, CERTIFY_GRID_N)
     if cert.falsified:
         msg = (
             f"|({f.text})'| falsified for the s={s} class on "
@@ -280,9 +287,10 @@ def integrate_with_guarantee(
             raise ValueError(msg + " (pass allow_uncertified=True to proceed)")
         warnings.warn(msg)
 
+    constants = bound_constant("P4", s, p), bound_constant("P5", s, p)
     least, predicted = 1, 1.0  # every n < least fails
     try:
-        lower, predicted = _predict_n(f, interval, tol, s, p)
+        lower, predicted = _predict_n(f, interval, tol, min(constants))
     except DomainError:
         pass  # f' is undefined at a point of the prediction grid
     else:
@@ -295,11 +303,11 @@ def integrate_with_guarantee(
                 )
             least = max(1, math.ceil(lower))
 
-    bounds: dict[int, tuple[float, float]] = {}
+    grids: dict[int, tuple[float, float, float]] = {}  # n -> (value, bound_p4, bound_p5)
 
     def passes(n: int) -> bool:
-        bounds[n] = _uniform_bound(f, interval, n, s, p)
-        return min(bounds[n]) <= tol
+        grids[n] = _uniform_pass(f, interval, n, constants)
+        return min(grids[n][1:]) <= tol
 
     lo, hi = least - 1, None  # B(lo) > tol (lo = 0: no panels) and B(hi) <= tol
     n, step = max(least, math.ceil(min(predicted, n_cap))), 1
@@ -308,7 +316,7 @@ def integrate_with_guarantee(
             hi = n
         elif n == n_cap:
             raise NonConvergenceError(
-                f"bound still {min(bounds[n]):.10g} > tol {tol:.10g} at n = n_cap = {n_cap}"
+                f"bound still {min(grids[n][1:]):.10g} > tol {tol:.10g} at n = n_cap = {n_cap}"
             )
         else:
             lo = n
@@ -322,11 +330,5 @@ def integrate_with_guarantee(
             n = (lo + hi) // 2
         step *= 2
 
-    b4, b5 = bounds[hi]
-    return QuadratureResult(
-        value=trapezoid_sum(f, Partition.uniform(interval, hi)),
-        bound_p4=b4,
-        bound_p5=b5,
-        n=hi,
-        certified_tolerance=tol,
-    )
+    value, b4, b5 = grids[hi]
+    return QuadratureResult(value, b4, b5, n=hi, certified_tolerance=tol)

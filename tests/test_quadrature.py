@@ -9,7 +9,7 @@ import pytest
 from hhkit import quadrature
 from hhkit.convexity import ConvexityParams, certify
 from hhkit.corpus import DOMAIN, INTERVALS, corpus_functions
-from hhkit.expr import Interval, parse_function
+from hhkit.expr import FunctionSpec, Interval, parse_function
 from hhkit.kernels import kernel_constants
 from hhkit.quadrature import (
     N_CAP,
@@ -17,7 +17,7 @@ from hhkit.quadrature import (
     Partition,
     _p4_base,
     _p5_base,
-    _uniform_bound,
+    _uniform_pass,
     bound_constant,
     integrate_with_guarantee,
     reference_integrate,
@@ -219,16 +219,21 @@ def test_guarantee_refuses_a_tolerance_that_predicts_infinite_n():
         integrate_with_guarantee(parse_function("x", iv), iv, 1e-320)
 
 
+def _constants(s=1.0, p=2.0):
+    return bound_constant("P4", s, p), bound_constant("P5", s, p)
+
+
 def _doubling_bisection_n(f, iv, tol, s=1.0, p=2.0):
     """The search integrate_with_guarantee used before its prediction: double
     n until the bound passes, then bisect down to the smallest passing n."""
+    consts = _constants(s, p)
     n = 1
-    while min(_uniform_bound(f, iv, n, s, p)) > tol:
+    while min(_uniform_pass(f, iv, n, consts)[1:]) > tol:
         n *= 2
     lo, hi = n // 2, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if min(_uniform_bound(f, iv, mid, s, p)) <= tol:
+        if min(_uniform_pass(f, iv, mid, consts)[1:]) <= tol:
             hi = mid
         else:
             lo = mid
@@ -251,6 +256,12 @@ def test_guarantee_n_matches_doubling_bisection_on_corpus():
         for tol in (1e-2, 1e-4):
             result = integrate_with_guarantee(f, iv, tol)
             assert result.n == _doubling_bisection_n(f, iv, tol), (f.text, iv, tol)
+            # value and bounds come from the confirming pass, bit for bit as
+            # the public sums compute them on a fresh partition
+            part = Partition.uniform(iv, result.n)
+            assert result.value == trapezoid_sum(f, part), (f.text, iv, tol)
+            assert result.bound_p4 == trapezoid_error_bound("P4", f, part), (f.text, iv, tol)
+            assert result.bound_p5 == trapezoid_error_bound("P5", f, part), (f.text, iv, tol)
 
 
 @pytest.fixture
@@ -258,9 +269,34 @@ def bound_calls(monkeypatch):
     """The n of every full-size bound pass, in call order."""
     calls = []
     monkeypatch.setattr(
-        quadrature, "_uniform_bound", lambda *args: calls.append(args[2]) or _uniform_bound(*args)
+        quadrature, "_uniform_pass", lambda *args: calls.append(args[2]) or _uniform_pass(*args)
     )
     return calls
+
+
+def test_guarantee_evaluates_each_grid_once_with_its_derivative(monkeypatch, bound_calls):
+    # one eval_with_derivative call per full grid gives the value and both
+    # bounds; no FunctionSpec.value pass evaluates f a second time
+    value_calls, shapes = [], []
+    value, dual = FunctionSpec.value, FunctionSpec.eval_with_derivative
+    counted = lambda self, x: value_calls.append(x) or value(self, x)  # noqa: E731
+    monkeypatch.setattr(FunctionSpec, "value", counted)
+    monkeypatch.setattr(FunctionSpec, "__call__", counted)
+    monkeypatch.setattr(
+        FunctionSpec,
+        "eval_with_derivative",
+        lambda self, x: shapes.append(np.shape(x)) or dual(self, x),
+    )
+    f = parse_function("exp(2*x)", DOMAIN)
+    iv = Interval(0.0, 2.0)
+    result = integrate_with_guarantee(f, iv, 1e-2)
+    assert result.n == 3790
+    assert value_calls == []
+    predict_size = 2 * quadrature.PREDICT_PANELS + 1
+    full = [shape[0] for shape in shapes if len(shape) == 1 and shape[0] > predict_size]
+    assert full == [n + 1 for n in bound_calls] and 3790 in bound_calls
+    assert result.value == trapezoid_sum(f, Partition.uniform(iv, result.n))
+    assert len(value_calls) == 1  # the counter does see a value pass
 
 
 @pytest.mark.parametrize("keep_lower", [True, False])
@@ -288,7 +324,7 @@ def test_guarantee_prediction_past_the_cap_is_not_a_refusal(bound_calls):
     # integral tenfold: the prediction is past n_cap but the minimal n is not
     iv = Interval(0.0, 1.0)
     f = parse_function("log(x+0.000001)", iv)
-    lower, estimate = quadrature._predict_n(f, iv, 5e-5, 1.0, 2.0)
+    lower, estimate = quadrature._predict_n(f, iv, 5e-5, min(_constants()))
     assert lower < 200_000 < estimate
     result = integrate_with_guarantee(f, iv, 5e-5, n_cap=200_000)
     assert result.n == _doubling_bisection_n(f, iv, 5e-5) == 115813

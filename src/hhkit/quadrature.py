@@ -9,10 +9,15 @@ valid when |f'| belongs to the s-convex class certified by
 ``convexity.certify`` with parameters (s, 1, 1, first).  The reference
 integrator is an adaptive-Simpson panel refiner, independent of the trapezoid
 code path, and doubles as the ground-truth oracle elsewhere in the package.
+It refines level-synchronously: one evaluation of f per refinement level, on
+a 1-D array of the quarter-points of every active panel, so f must map such
+an array to values of the same shape.  A level may hold at most
+REFERENCE_PANEL_CAP panels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -128,55 +133,102 @@ def trapezoid_error_bound(
 
 # ---------------------------------------------------------------------------
 # adaptive reference integrator
+#
+# Adaptive Simpson, refined level by level (Gander & Gautschi, "Adaptive
+# quadrature - revisited", BIT 2000, give the recursive form).  Every panel
+# keeps the recursive rule: at depth >= _MIN_DEPTH it is accepted when
+# |left + right - whole| <= 15 tol, else both halves are refined with tol / 2.
+# All panels of one depth share their tol and are refined together, so f is
+# evaluated once per level, on the quarter-points of every active panel.  The
+# accepted values are then summed back up the refinement tree in the
+# recursion's order, parent = left subtree + right subtree, so the result is
+# bitwise the recursive one whenever f gives the same values on an array as
+# point by point.
 
 _MIN_DEPTH = 3  # guard against symmetric cancellation fooling the first estimate
 
+REFERENCE_PANEL_CAP = 2**16  # most active panels in one level of refinement
 
-def _simpson(a: float, fa: float, m: float, fm: float, b: float, fb: float) -> float:
+
+def _simpson(a, fa, m, fm, b, fb):
     return (b - a) * (fa + 4.0 * fm + fb) / 6.0
 
 
-def _adaptive_simpson(fn, a, fa, m, fm, b, fb, whole, tol, depth, max_depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = fn(lm)
-    frm = fn(rm)
-    left = _simpson(a, fa, lm, flm, m, fm)
-    right = _simpson(m, fm, rm, frm, b, fb)
-    err = left + right - whole
-    if depth >= _MIN_DEPTH and abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth >= max_depth:
-        raise NonConvergenceError(
-            f"adaptive refinement exceeded depth {max_depth} on [{a}, {b}]"
+def _values(fn, x: np.ndarray) -> np.ndarray:
+    y = np.asarray(fn(x), dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(
+            f"the integrand must map a 1-D array to values of the same shape; "
+            f"got shape {y.shape} for {x.shape}"
         )
-    half = tol / 2.0
-    return _adaptive_simpson(
-        fn, a, fa, lm, flm, m, fm, left, half, depth + 1, max_depth
-    ) + _adaptive_simpson(fn, m, fm, rm, frm, b, fb, right, half, depth + 1, max_depth)
+    return y
+
+
+def _halves(lo: np.ndarray, hi: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """lo and hi of the kept panels, interleaved: the children of each kept
+    panel, left then right, in the order of their parents."""
+    return np.stack((lo[keep], hi[keep]), axis=1).ravel()
 
 
 def reference_integrate(
-    f: Union[FunctionSpec, Callable[[float], float]],
+    f: Union[FunctionSpec, Callable[[np.ndarray], np.ndarray]],
     interval: Interval,
     tol: float = 1e-10,
     max_depth: int = 60,
 ) -> float:
-    """Adaptive panel-refinement estimate of the integral of f over the interval.
+    """Adaptive-Simpson estimate of the integral of f over the interval.
 
-    Error control targets tol; raises NonConvergenceError if refinement stalls.
+    Error control targets tol.  f (a FunctionSpec or any callable) must accept
+    a 1-D float array and return values of the same shape: it is called once
+    on the endpoints and midpoint, then once per refinement level on the
+    quarter-points of all panels still active at that level.
+
+    NonConvergenceError is raised when a panel is still unaccepted at
+    max_depth, or before a level would hold more than REFERENCE_PANEL_CAP
+    panels.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    fn = f  # FunctionSpec is callable; plain callables work unchanged
-    a, b = interval.a, interval.b
-    fa, fb = float(fn(a)), float(fn(b))
+    a = np.array([interval.a], dtype=float)
+    b = np.array([interval.b], dtype=float)
     m = 0.5 * (a + b)
-    fm = float(fn(m))
+    fa, fm, fb = np.split(_values(f, np.concatenate((a, m, b))), 3)
     whole = _simpson(a, fa, m, fm, b, fb)
-    return float(
-        _adaptive_simpson(fn, a, fa, m, fm, b, fb, whole, tol, 0, max_depth)
-    )
+
+    levels = []  # per depth: (panel values, refined mask), panels in tree order
+    for depth in itertools.count():
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = np.split(_values(f, np.concatenate((lm, rm))), 2)
+        left = _simpson(a, fa, lm, flm, m, fm)
+        right = _simpson(m, fm, rm, frm, b, fb)
+        err = left + right - whole
+        refine = ~(np.abs(err) <= 15.0 * tol) if depth >= _MIN_DEPTH else np.ones(a.size, bool)
+        levels.append((left + right + err / 15.0, refine))
+        n_refine = int(np.count_nonzero(refine))
+        if n_refine == 0:
+            break
+        if depth >= max_depth:
+            i = int(np.argmax(refine))
+            raise NonConvergenceError(
+                f"adaptive refinement exceeded depth {max_depth} on [{a[i]}, {b[i]}]"
+            )
+        if 2 * n_refine > REFERENCE_PANEL_CAP:
+            raise NonConvergenceError(
+                f"adaptive refinement needs {2 * n_refine} panels at depth {depth + 1}, "
+                f"past REFERENCE_PANEL_CAP = {REFERENCE_PANEL_CAP}"
+            )
+        a, fa, m, fm, b, fb, whole = (
+            _halves(lo, hi, refine)
+            for lo, hi in ((a, m), (fa, fm), (lm, rm), (flm, frm), (m, b), (fm, fb), (left, right))
+        )
+        tol = tol / 2.0
+
+    total = levels[-1][0]
+    for value, refine in reversed(levels[:-1]):
+        value[refine] = total[0::2] + total[1::2]
+        total = value
+    return float(total[0])
 
 
 @lru_cache(maxsize=256)

@@ -1,6 +1,7 @@
 """Trapezoid sums, a-priori error bounds, guaranteed integration, and the oracle."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hhkit import quadrature
 from hhkit.convexity import ConvexityParams, certify
 from hhkit.corpus import DOMAIN, INTERVALS, corpus_functions
-from hhkit.expr import FunctionSpec, Interval, parse_function
-from hhkit.kernels import kernel_constants
+from hhkit.expr import DomainError, FunctionSpec, Interval, parse_function
+from hhkit.hhbounds import hh_gap
+from hhkit.kernels import gauss_legendre_01, kernel_constants
 from hhkit.quadrature import (
     N_CAP,
     NonConvergenceError,
@@ -394,5 +396,162 @@ def test_reference_accepts_plain_callables():
 
 def test_reference_depth_cap_raises():
     # acceptance needs a minimum recursion depth, so an absurd cap cannot converge
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError) as new:
         reference_integrate(parse_function("exp(x)", UNIT), UNIT, max_depth=2)
+    with pytest.raises(NonConvergenceError) as old:
+        _recursive_reference(parse_function("exp(x)", UNIT), UNIT, max_depth=2)
+    assert str(new.value) == str(old.value)
+    assert str(new.value) == "adaptive refinement exceeded depth 2 on [0.0, 0.25]"
+
+
+# the depth-first adaptive Simpson that the level-synchronous integrator
+# replaced, kept as the reference for its results; deepest[0] records the
+# deepest refinement level it evaluated
+
+
+def _simpson(a, fa, m, fm, b, fb):
+    return (b - a) * (fa + 4.0 * fm + fb) / 6.0
+
+
+def _recursive_simpson(fn, a, fa, m, fm, b, fb, whole, tol, depth, max_depth, deepest):
+    deepest[0] = max(deepest[0], depth)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = fn(lm)
+    frm = fn(rm)
+    left = _simpson(a, fa, lm, flm, m, fm)
+    right = _simpson(m, fm, rm, frm, b, fb)
+    err = left + right - whole
+    if depth >= 3 and abs(err) <= 15.0 * tol:  # 3 = quadrature._MIN_DEPTH
+        return left + right + err / 15.0
+    if depth >= max_depth:
+        raise NonConvergenceError(
+            f"adaptive refinement exceeded depth {max_depth} on [{a}, {b}]"
+        )
+    half = tol / 2.0
+    args = (depth + 1, max_depth, deepest)
+    return _recursive_simpson(fn, a, fa, lm, flm, m, fm, left, half, *args) + _recursive_simpson(
+        fn, m, fm, rm, frm, b, fb, right, half, *args
+    )
+
+
+def _recursive_reference(fn, interval, tol=1e-10, max_depth=60, deepest=None):
+    deepest = [0] if deepest is None else deepest
+    a, b = interval.a, interval.b
+    fa, fb = float(fn(a)), float(fn(b))
+    m = 0.5 * (a + b)
+    fm = float(fn(m))
+    whole = _simpson(a, fa, m, fm, b, fb)
+    return float(_recursive_simpson(fn, a, fa, m, fm, b, fb, whole, tol, 0, max_depth, deepest))
+
+
+ADD_MUL_CALLABLES = (
+    lambda x: x * x * x,
+    lambda x: ((2.0 * x + -3.0) * x + 0.5) * x + 1.25,
+    lambda x: ((((0.7 * x + -1.1) * x + 0.3) * x + 2.0) * x + -0.4) * x * x + 0.9,
+)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+def test_reference_is_bitwise_the_recursive_result_for_add_mul_callables(tol):
+    # + and * round the same on arrays as on floats, so the level-synchronous
+    # integrator must reproduce the recursion's bits, not just its value
+    for i, fn in enumerate(ADD_MUL_CALLABLES):
+        for iv in (UNIT, Interval(-1.0, 2.0), Interval(0.3, 1.7)):
+            assert reference_integrate(fn, iv, tol) == _recursive_reference(fn, iv, tol), (i, iv)
+
+
+def _assert_close_to_recursive(f, iv, tol):
+    new, old = reference_integrate(f, iv, tol), _recursive_reference(f, iv, tol)
+    assert abs(new - old) <= 1e-15 * abs(old), (f.text, iv, tol, new, old)
+
+
+def test_reference_matches_recursive_on_corpus():
+    # exp may differ by an ulp between numpy's array and scalar loops
+    for f in corpus_functions():
+        for iv in INTERVALS:
+            for tol in (1e-10, quadrature.ORACLE_TOL):
+                _assert_close_to_recursive(f, iv, tol)
+
+
+def test_reference_matches_recursive_on_seeded_functions():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        low, high = (-2, -2, -2, -1, 0.5), (2, 2, 2, 1, 2)
+        c1, c2, lam, a, width = (float(v) for v in rng.uniform(low, high))
+        k = int(rng.integers(1, 7))
+        iv = Interval(a, a + width)
+        f = parse_function(f"{c1!r}*x^{k} + {c2!r}*exp({lam!r}*x)", iv)
+        _assert_close_to_recursive(f, iv, quadrature.ORACLE_TOL)
+
+
+def test_reference_propagates_domain_errors():
+    with pytest.raises(DomainError):
+        reference_integrate(parse_function("exp(x)", UNIT), Interval(0.0, 2.0))
+    calls = []
+
+    def fails_on_refinement(x):
+        calls.append(x)
+        if len(calls) > 2:
+            raise DomainError("undefined here")
+        return x * x
+
+    with pytest.raises(DomainError, match="undefined here"):
+        reference_integrate(fails_on_refinement, UNIT)
+    assert len(calls) == 3
+
+
+def test_reference_rejects_integrands_that_do_not_map_arrays():
+    with pytest.raises(ValueError, match="same shape"):
+        reference_integrate(lambda x: 1.0, UNIT)
+
+
+def test_reference_makes_one_array_call_per_level(monkeypatch):
+    value = FunctionSpec.value
+    sizes = []
+
+    def counted(self, x):
+        sizes.append(np.ndim(x) and np.size(x))  # 0 for a scalar call
+        return value(self, x)
+
+    f = parse_function("exp(2*x)", DOMAIN)
+    iv = Interval(0.0, 2.0)
+    deepest = [0]
+    expected = _recursive_reference(f, iv, quadrature.ORACLE_TOL, deepest=deepest)
+    monkeypatch.setattr(FunctionSpec, "value", counted)
+    monkeypatch.setattr(FunctionSpec, "__call__", counted)
+    assert reference_integrate(f, iv, quadrature.ORACLE_TOL) == pytest.approx(expected, rel=1e-15)
+    # the three-point start, then one call per level 0..deepest; no scalar call
+    assert len(sizes) == 1 + deepest[0] + 1 and deepest[0] > quadrature._MIN_DEPTH
+    assert sizes[0] == 3 and 0 not in sizes
+    assert sizes[1:4] == [2, 4, 8]  # every panel refines below _MIN_DEPTH
+
+
+def test_reference_refuses_runaway_refinement_fast_and_small():
+    # tol = 1e-300 cannot be met; the level cap stops the doubling of the
+    # active set before it allocates past REFERENCE_PANEL_CAP panels
+    assert quadrature.REFERENCE_PANEL_CAP >= 2**16
+    f = parse_function("exp(x)", UNIT)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(NonConvergenceError, match="REFERENCE_PANEL_CAP"):
+            reference_integrate(f, UNIT, tol=1e-300)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0, elapsed
+    assert peak < 50e6, peak
+
+
+def test_oracle_and_gap_agree_with_gauss_legendre_on_corpus():
+    # a second oracle, independent of Simpson: the corpus functions are
+    # entire, so 40 Gauss-Legendre nodes reach machine precision on them
+    t, w = gauss_legendre_01(40)
+    for f in corpus_functions():
+        for iv in INTERVALS:
+            gl = iv.width * float(w @ f(iv.a + iv.width * t))
+            gl_gap = abs((f(iv.a) + f(iv.b)) / 2.0 - gl / iv.width)
+            assert abs(quadrature.oracle_integral(f, iv) - gl) <= 1e-13 * abs(gl), (f.text, iv)
+            assert abs(hh_gap(f, iv) - gl_gap) <= 1e-13 * gl_gap, (f.text, iv)

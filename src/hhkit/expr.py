@@ -12,7 +12,11 @@ Note that per this grammar a leading unary minus is part of a power's base:
 ``-x^2`` parses as ``(-x)^2``.  Write ``-(x^2)`` for the other reading.
 
 Evaluation accepts floats or numpy arrays and is deterministic: repeated
-evaluation at the same input is bit-identical.
+evaluation at the same input is bit-identical.  In forward mode a constant
+carries the scalar derivative 0.0 and the seed x the scalar 1.0, for arrays
+too, so a product-rule term a constant zeroes is skipped rather than computed
+as an array.  ``value`` and ``eval_with_derivative`` return arrays the caller
+owns: never x, never shared with each other or with a later call.
 """
 
 from __future__ import annotations
@@ -76,33 +80,45 @@ class Interval:
 # dual numbers
 
 
+def _is_zero(d) -> bool:
+    """True for the scalar zero derivative a constant carries."""
+    return not isinstance(d, np.ndarray) and d == 0.0
+
+
 @dataclass(frozen=True)
 class DualValue:
-    """A (value, derivative) pair; both components are floats or same-shape arrays."""
+    """A (value, derivative) pair; each component is a float or an array of x's shape,
+    and a constant's derivative is the scalar 0.0."""
 
     value: Scalar
     derivative: Scalar
 
     def __add__(self, other: "DualValue") -> "DualValue":
-        return DualValue(self.value + other.value, self.derivative + other.derivative)
+        d, e = self.derivative, other.derivative
+        der = d if _is_zero(e) else e if _is_zero(d) else d + e
+        return DualValue(self.value + other.value, der)
 
     def __sub__(self, other: "DualValue") -> "DualValue":
-        return DualValue(self.value - other.value, self.derivative - other.derivative)
+        d, e = self.derivative, other.derivative
+        der = d if _is_zero(e) else -e if _is_zero(d) else d - e
+        return DualValue(self.value - other.value, der)
 
     def __mul__(self, other: "DualValue") -> "DualValue":
-        return DualValue(
-            self.value * other.value,
-            self.derivative * other.value + self.value * other.derivative,
-        )
+        if _is_zero(other.derivative):
+            der = self.derivative * other.value
+        elif _is_zero(self.derivative):
+            der = self.value * other.derivative
+        else:
+            der = self.derivative * other.value + self.value * other.derivative
+        return DualValue(self.value * other.value, der)
 
     def __truediv__(self, other: "DualValue") -> "DualValue":
         if np.any(other.value == 0.0):
             raise DomainError("division by zero")
-        return DualValue(
-            self.value / other.value,
-            (self.derivative * other.value - self.value * other.derivative)
-            / (other.value * other.value),
-        )
+        num = self.derivative * other.value
+        if not _is_zero(other.derivative):
+            num = num - self.value * other.derivative
+        return DualValue(self.value / other.value, num / (other.value * other.value))
 
     def __neg__(self) -> "DualValue":
         return DualValue(-self.value, -self.derivative)
@@ -410,7 +426,10 @@ class _Parser:
     def _atom(self) -> ExprNode:
         tok = self._advance()
         if tok.kind == "number":
-            return Constant(float(tok.text))
+            value = float(tok.text)
+            if not np.isfinite(value):
+                raise ParseError(f"numeric literal {tok.text!r} overflows float64", tok.position)
+            return Constant(value)
         if tok.kind == "ident":
             if tok.text == "x":
                 return Variable()
@@ -508,10 +527,19 @@ _CONSTRUCTION_GRID = 129
 
 
 def _shaped_like(out, x):
-    """A float for a scalar x, else a fresh float array of x's shape."""
-    if isinstance(x, np.ndarray):
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
-    return float(out)
+    """A float for a scalar x, else a float array of x's shape that the caller owns:
+    ``out`` itself when it already is one (a fresh result, not x), else a copy."""
+    if not isinstance(x, np.ndarray):
+        return float(out)
+    if (
+        isinstance(out, np.ndarray)
+        and out is not x
+        and out.base is None
+        and out.dtype == np.float64
+        and out.shape == x.shape
+    ):
+        return out
+    return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -539,10 +567,8 @@ class FunctionSpec:
                 f"input outside domain [{self.domain.a}, {self.domain.b}] of {self.text!r}"
             )
         if dual:
-            if isinstance(x, np.ndarray):
-                x = DualValue(x, np.ones_like(x, dtype=float))
-            else:
-                x = DualValue(float(x), 1.0)
+            # a scalar 1 for arrays too; float64, so a float32 x gets float64 derivatives
+            x = DualValue(x if isinstance(x, np.ndarray) else float(x), np.float64(1.0))
         with np.errstate(all="ignore"):
             return self.body.evaluate(x)
 
@@ -558,8 +584,6 @@ class FunctionSpec:
     def eval_with_derivative(self, x: Scalar) -> DualValue:
         """Forward-mode evaluation returning the (value, derivative) pair at x."""
         out = self._evaluate(x, dual=True)
-        if not isinstance(out, DualValue):  # constant-only body
-            out = DualValue(out, 0.0 * np.asarray(x, dtype=float))
         if not (np.all(np.isfinite(out.value)) and np.all(np.isfinite(out.derivative))):
             raise DomainError(f"{self.text!r} produced a non-finite value or derivative")
         return DualValue(_shaped_like(out.value, x), _shaped_like(out.derivative, x))

@@ -281,6 +281,13 @@ def test_unparseable_function_is_usage_error(capsys):
     assert "position" in err
 
 
+def test_overflowing_literal_is_usage_error(capsys):
+    code, out, err = run(capsys, "bound", "--function", "1e400", "--interval", "0:1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: numeric literal '1e400' overflows float64 (position 0)\n"
+
+
 def test_unknown_theorem_is_usage_error(capsys):
     code, _, err = run(
         capsys, "verify", "--theorem", "T9", "--function", "x^2", "--interval", "0:1"

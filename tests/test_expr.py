@@ -5,16 +5,27 @@ or checked against a central finite difference.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhkit.corpus import DOMAIN, EXTRA_EXPRESSIONS, FUNCTION_TEXTS, corpus_functions
 from hhkit.expr import (
+    Abs,
+    Add,
     Constant,
     DerivativeUndefinedError,
+    Div,
     DomainError,
+    DualValue,
+    Exp,
+    FunctionSpec,
     Interval,
+    Log,
+    Mul,
+    Neg,
     ParseError,
     Pow,
     Sub,
@@ -24,6 +35,7 @@ from hhkit.expr import (
     parse,
     parse_function,
 )
+from test_properties import _constants, _trees
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +86,199 @@ def test_vectorized_derivative_matches_scalar():
     vec = f.derivative(xs)
     for i, x in enumerate(xs):
         assert vec[i] == f.derivative(float(x))
+
+
+# ---------------------------------------------------------------------------
+# equivalence with full-array dual arithmetic
+#
+# The reference is the earlier dual arithmetic: every operation computes both
+# product-rule terms as arrays, even where a constant's derivative zeroes one,
+# the seed derivative is an array of ones, and results are copied.  Values and
+# derivatives must agree under == (a zero derivative may differ in sign only),
+# or both sides must raise the same exception class.
+
+
+def _full_add(self, other):
+    return DualValue(self.value + other.value, self.derivative + other.derivative)
+
+
+def _full_sub(self, other):
+    return DualValue(self.value - other.value, self.derivative - other.derivative)
+
+
+def _full_mul(self, other):
+    return DualValue(
+        self.value * other.value,
+        self.derivative * other.value + self.value * other.derivative,
+    )
+
+
+def _full_truediv(self, other):
+    if np.any(other.value == 0.0):
+        raise DomainError("division by zero")
+    return DualValue(
+        self.value / other.value,
+        (self.derivative * other.value - self.value * other.derivative)
+        / (other.value * other.value),
+    )
+
+
+def _reference_eval_with_derivative(f: FunctionSpec, x):
+    full = dict(__add__=_full_add, __sub__=_full_sub, __mul__=_full_mul, __truediv__=_full_truediv)
+    if isinstance(x, np.ndarray):
+        seed = DualValue(x, np.ones_like(x, dtype=float))
+        shaped = lambda v: np.broadcast_to(np.asarray(v, dtype=float), x.shape).copy()  # noqa: E731
+    else:
+        seed, shaped = DualValue(float(x), 1.0), float
+    with mock.patch.multiple(DualValue, **full), np.errstate(all="ignore"):
+        out = f.body.evaluate(seed)
+    if not (np.all(np.isfinite(out.value)) and np.all(np.isfinite(out.derivative))):
+        raise DomainError("non-finite value or derivative")
+    return DualValue(shaped(out.value), shaped(out.derivative))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_matches_reference(tree, domain: Interval, x):
+    def new():
+        return FunctionSpec(tree, domain).eval_with_derivative(x)
+
+    def ref():
+        return _reference_eval_with_derivative(FunctionSpec(tree, domain), x)
+
+    got, want = _outcome(new), _outcome(ref)
+    if isinstance(want, type):
+        assert got is want, format_expression(tree)
+        return
+    assert isinstance(got, DualValue), (format_expression(tree), got)
+    if isinstance(x, np.ndarray):
+        for a, b in ((got.value, want.value), (got.derivative, want.derivative)):
+            assert a.dtype == np.float64 and a.shape == x.shape
+            assert np.array_equal(a, b), format_expression(tree)
+    else:
+        assert type(got.value) is float and type(got.derivative) is float
+        assert (got.value, got.derivative) == (want.value, want.derivative), format_expression(tree)
+
+
+_EQUIVALENCE_POINTS = np.linspace(DOMAIN.a, DOMAIN.b, 11)
+_CONSTANT_EXPONENTS = (0.0, 1.0, 0.5, 2.0, 3.0, -1.0)
+
+
+def _constant_beside(op, c, tree, constant_left):
+    return op(c, tree) if constant_left else op(tree, c)
+
+
+_shaped_trees = st.one_of(
+    _trees,
+    st.builds(
+        _constant_beside,
+        st.sampled_from((Add, Sub, Mul, Div)),
+        _constants,
+        _trees,
+        st.booleans(),
+    ),
+    st.builds(lambda t, e: Pow(t, Constant(e)), _trees, st.sampled_from(_CONSTANT_EXPONENTS)),
+    st.builds(Pow, _trees, _trees),
+    st.builds(lambda cls, t: cls(t), st.sampled_from((Exp, Log, Abs, Neg)), _trees),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(_shaped_trees)
+def test_eval_with_derivative_matches_full_array_duals(tree):
+    _assert_matches_reference(tree, DOMAIN, _EQUIVALENCE_POINTS)
+    for x in (0.0, 0.75, 2.5):
+        _assert_matches_reference(tree, DOMAIN, x)
+
+
+_OPERANDS = (
+    Variable(),
+    Mul(Constant(2.0), Add(Variable(), Constant(1.0))),
+    Exp(Variable()),
+    Pow(Variable(), Constant(3.0)),
+)
+_RULE_CASES = (
+    [
+        _constant_beside(op, Constant(0.75), operand, constant_left)
+        for op in (Add, Sub, Mul, Div)
+        for operand in _OPERANDS
+        for constant_left in (True, False)
+    ]
+    + [Mul(Constant(1.5), Pow(b, Constant(e))) for b in _OPERANDS[:3] for e in _CONSTANT_EXPONENTS]
+    + [parse(t) for t in ("x^x", "(x + 1)^(2*x)", "log(2*x)", "abs(x - 1.5)", "-(2*x)", "-x/2")]
+)
+
+
+@pytest.mark.parametrize("tree", _RULE_CASES, ids=format_expression)
+def test_each_dual_rule_matches_full_array_duals(tree):
+    domain = Interval(0.5, 3.0)
+    _assert_matches_reference(tree, domain, np.linspace(0.5, 3.0, 11))
+    _assert_matches_reference(tree, domain, 1.25)
+
+
+@pytest.mark.parametrize(
+    "text", ["0.5*exp(800*x)", "exp(800*x)*0.5", "exp(800*x)/4", "0.5*exp(800*x) - 1", "1 - 0.5*exp(800*x)"]
+)
+def test_overflow_under_a_constant_factor_matches_full_array_duals(text):
+    # exp(800 x) is finite up to 0.887, but its derivative 800 exp(800 x) overflows
+    # first, so the top points raise on both sides and the lower ones agree
+    domain = Interval(0.0, 0.887)
+    _assert_matches_reference(parse(text), domain, np.linspace(0.0, 0.887, 11))
+    _assert_matches_reference(parse(text), domain, np.linspace(0.0, 0.8, 11))
+    for x in (0.887, 0.8):
+        _assert_matches_reference(parse(text), domain, x)
+    with pytest.raises(DomainError):
+        FunctionSpec(parse(text), domain).eval_with_derivative(0.887)
+
+
+def test_value_overflowed_to_inf_under_a_constant_factor_departs_from_full_array_duals():
+    # The one known departure.  At x = 1, 1e308 + 1e308*x overflows to inf while
+    # its derivative stays 1e308.  The full rule for (...)*0.5 adds inf * 0.0 = nan
+    # to the derivative, so the reference raises although exp(-inf) = 0 is finite.
+    # Skipping that term gives (0, -0), what both sides give without the factor.
+    f = parse_function("exp(-((1e308 + 1e308*x)*0.5))", DOMAIN)
+    with pytest.raises(DomainError):
+        _reference_eval_with_derivative(f, 1.0)
+    out = f.eval_with_derivative(1.0)
+    assert (out.value, out.derivative) == (0.0, 0.0)
+    g = parse_function("exp(-(1e308 + 1e308*x))", DOMAIN)
+    assert _reference_eval_with_derivative(g, 1.0) == g.eval_with_derivative(1.0)
+
+
+# ---------------------------------------------------------------------------
+# evaluations return arrays the caller owns
+
+
+def _assert_fresh_outputs(f, x):
+    x_before = x.copy()
+    fd = f.eval_with_derivative(x)
+    outputs = [f.value(x), fd.value, fd.derivative]
+    for out in outputs:
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == x.shape
+    for i, a in enumerate(outputs + [x]):
+        for b in (outputs + [x])[i + 1 :]:
+            assert not np.shares_memory(a, b), f.text
+    expected = [out.copy() for out in outputs]
+    for out in outputs:
+        out[:] = -123.0
+    assert np.array_equal(x, x_before)
+    again = f.eval_with_derivative(x)
+    assert np.array_equal(f.value(x), expected[0])
+    assert np.array_equal(again.value, expected[1])
+    assert np.array_equal(again.derivative, expected[2])
+
+
+@pytest.mark.parametrize("text", ["x", "x^1", "0*x + x", "3", "x^0", "2^3", "exp(x)"])
+def test_evaluations_return_fresh_float_arrays(text):
+    f = parse_function(text, DOMAIN)
+    # linspace returns a view, np.array an array that owns its data
+    for x in (np.linspace(DOMAIN.a, DOMAIN.b, 7), np.array([0.5, 1.0, 2.75])):
+        _assert_fresh_outputs(f, x)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +369,19 @@ def test_empty_input_rejected():
 def test_trailing_input_rejected():
     with pytest.raises(ParseError, match="trailing"):
         parse("x 1")
+
+
+def test_overflowing_literal_is_a_parse_error_at_its_position():
+    with pytest.raises(ParseError, match="overflows float64") as err:
+        parse("x + 1e400")
+    assert err.value.position == 4
+    with pytest.raises(ParseError) as err:
+        str(parse("1e400"))
+    assert err.value.position == 0
+    with pytest.raises(ParseError):
+        FunctionSpec(parse("1e400"), Interval(0.0, 1.0))
+    # an underflowing literal is a finite number, zero
+    assert parse("1e-400") == Constant(0.0)
 
 
 def test_log_domain_violation_caught_at_construction():

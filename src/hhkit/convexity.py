@@ -19,12 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Interval
+from .expr import DomainError, Interval
 
 SENSES = ("first", "second")
 
 DEFAULT_GRID_N = 50
 DEFAULT_TOLERANCE = 1e-9
+BLOCK_POINTS = 1 << 15  # 256 KB per float64 temporary, so a block's passes stay in L2
+_NOT_FINITE = "the hypothesis function is not finite on the certify lattice"
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,7 @@ def generalized_combination_rhs(
     return float(fc * f_at_x + sc * f_at_y_over_m)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise DomainError instead
 def certify(
     f,
     interval: Interval,
@@ -110,6 +113,12 @@ def certify(
     worst margin.  f must be evaluable on arrays over the interval, and for
     0 < m < 1 also at y/m for every sampled y.  When m == 0 the y axis drops
     out and the lattice is grid_n^2 points over (x, mu).
+
+    The lattice is evaluated in blocks of at most BLOCK_POINTS points (whole
+    x rows, or runs of y within one row when a row is larger), visited in
+    lexicographic order.  Apart from two grid_n^2 tables, memory does not
+    grow with grid_n; time is still grid_n^3 evaluations of f.  Raises
+    DomainError when f or a margin is not finite on the lattice.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -118,47 +127,50 @@ def certify(
 
     points = np.linspace(interval.a, interval.b, grid_n)
     mus = np.linspace(0.0, 1.0, grid_n)
+    fc, sc = combination_coefficients(params, mus)
+    MU, fc = mus[None, None, :], fc[None, None, :]
 
     fx = np.asarray(f(points), dtype=float)
     if params.m > 0.0:
         fy = np.asarray(f(points / params.m), dtype=float)
         ys = points
     else:
-        fy = None
+        fy = fx  # no f(y/m) term
         ys = np.zeros(1)  # second term vanishes and the combination collapses to mu*x
+    if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
+        raise DomainError(_NOT_FINITE)
+    y_lhs = (1.0 - MU) * ys[None, :, None]
+    y_rhs = sc[None, None, :] * fy[None, :, None] if params.m > 0.0 else None
 
-    X = points[:, None, None]
-    Y = ys[None, :, None]
-    MU = mus[None, None, :]
-    lhs = np.asarray(f(MU * X + (1.0 - MU) * Y), dtype=float)
+    # blocks of `rows` whole x rows, or of `cols` y values within one row
+    row = len(ys) * grid_n
+    rows, cols = max(1, BLOCK_POINTS // row), min(len(ys), max(1, BLOCK_POINTS // grid_n))
+    worst = None  # (margin, (i, j, k), lhs, rhs): the first lattice point with the least margin
+    for i0 in range(0, grid_n, rows):
+        x_lhs = MU * points[i0 : i0 + rows, None, None]
+        x_rhs = fc * fx[i0 : i0 + rows, None, None]
+        for j0 in range(0, len(ys), cols):
+            lhs = np.asarray(f(x_lhs + y_lhs[:, j0 : j0 + cols]), dtype=float)
+            rhs = x_rhs if y_rhs is None else x_rhs + y_rhs[:, j0 : j0 + cols]
+            margins = rhs - lhs
+            at = np.unravel_index(int(np.argmin(margins)), margins.shape)
+            if not np.isfinite(margins[at]):
+                raise DomainError(_NOT_FINITE)
+            if worst is None or margins[at] < worst[0]:
+                i, j, k = (int(v) for v in at)
+                worst = (float(margins[at]), (i0 + i, j0 + j, k), float(lhs[at]), float(rhs[at]))
 
-    fc, sc = combination_coefficients(params, mus)
-    rhs = fc[None, None, :] * fx[:, None, None]
-    if fy is not None:
-        rhs = rhs + sc[None, None, :] * fy[None, :, None]
-    rhs = np.broadcast_to(rhs, lhs.shape)
-
-    margins = rhs - lhs
-    flat_idx = int(np.argmin(margins))  # first occurrence in C order = lexicographic
-    i, j, k = np.unravel_index(flat_idx, margins.shape)
-    worst = float(margins[i, j, k])
-
-    if worst < -tolerance:
-        cex = Counterexample(
-            x=float(points[i]),
-            y=float(ys[j]),
-            mu=float(mus[k]),
-            lhs=float(lhs[i, j, k]),
-            rhs=float(rhs[i, j, k]),
-        )
+    margin, (i, j, k), lhs, rhs = worst
+    if margin < -tolerance:
+        cex = Counterexample(x=float(points[i]), y=float(ys[j]), mu=float(mus[k]), lhs=lhs, rhs=rhs)
         verdict = "falsified"
     else:
         cex = None
         verdict = "not_falsified"
 
     return CertificationReport(
-        samples_checked=int(margins.size),
-        worst_margin=worst,
+        samples_checked=grid_n * row,
+        worst_margin=margin,
         counterexample=cex,
         verdict=verdict,
     )

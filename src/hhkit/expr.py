@@ -569,8 +569,13 @@ class FunctionSpec:
         if dual:
             # a scalar 1 for arrays too; float64, so a float32 x gets float64 derivatives
             x = DualValue(x if isinstance(x, np.ndarray) else float(x), np.float64(1.0))
-        with np.errstate(all="ignore"):
-            return self.body.evaluate(x)
+        try:
+            with np.errstate(all="ignore"):
+                return self.body.evaluate(x)
+        except OverflowError:  # Python-float arithmetic raises where numpy gives inf or nan
+            raise DomainError(f"{self.text!r} overflows float64") from None
+        except ZeroDivisionError:
+            raise DomainError(f"{self.text!r} divides by zero in float64") from None
 
     def value(self, x: Scalar) -> Scalar:
         """Evaluate at a float or ndarray; raises DomainError off-domain or on non-finite results."""

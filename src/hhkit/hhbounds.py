@@ -26,7 +26,7 @@ import numpy as np
 
 from . import convexity, kernels
 from .convexity import ConvexityParams
-from .expr import DerivedFunction, FunctionSpec, Interval, derivative_power
+from .expr import DerivedFunction, DomainError, FunctionSpec, Interval, derivative_power
 from .kernels import HolderExponents, gauss_legendre_01
 from .quadrature import oracle_integral, reference_integrate
 
@@ -121,17 +121,21 @@ def theorem_bound(
 
     hp = _require_hp(theorem_id, hp)
     p, q = hp.p, hp.q
+    try:
+        d1q, d2q = d1**q, d2**q
+    except OverflowError:
+        raise DomainError(f"|f'|^q overflows float64 at the endpoints (q = {q:.6g})") from None
     if theorem_id == "T2":
-        core = (d1**q + m * c * d2**q) / (c + 1.0)
+        core = (d1q + m * c * d2q) / (c + 1.0)
         return w / (2.0 * (p + 1.0) ** (1.0 / p)) * core ** (1.0 / q)
     if theorem_id == "T3":
-        core = kc.v1 * d1**q + kc.v2 * d2**q
+        core = kc.v1 * d1q + kc.v2 * d2q
         return w / 2.0 ** ((p + 1.0) / p) * core ** (1.0 / q)
     if theorem_id == "T5":
-        core = (d1**q + m * c * d2**q) / (c + 1.0)
+        core = (d1q + m * c * d2q) / (c + 1.0)
         return w * (2.0 / ((p + 1.0) * (p + 2.0))) ** (1.0 / p) * core ** (1.0 / q)
     # T6
-    core = kc.u1 * d1**q + kc.u2 * d2**q
+    core = kc.u1 * d1q + kc.u2 * d2q
     return w / 3.0 ** (1.0 / p) * core ** (1.0 / q)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -286,6 +287,39 @@ def test_overflowing_literal_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: numeric literal '1e400' overflows float64 (position 0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("bound", "--function", "10^400"), "'10^400' overflows float64"),
+        (("bound", "--function", "x + 1/1e-200"), "'x + 1/1e-200' divides by zero in float64"),
+        (
+            ("verify", "--theorem", "T2", "--p", "1.01", "--function", "exp(3*x)"),
+            "|f'|^q overflows float64 at the endpoints (q = 101)",
+        ),
+    ],
+    ids=["power-of-constants", "tiny-divisor", "holder-power"],
+)
+def test_python_float_overflow_is_usage_error(capsys, argv, reason):
+    interval = "1:3" if argv[0] == "verify" else "0:1"
+    code, out, err = run(capsys, *argv, "--interval", interval)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {reason}\n"
+
+
+def test_non_finite_hypothesis_lattice_is_usage_error(capsys):
+    # |f'|^101 is finite at the endpoints, which the bound uses, but overflows inside
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning precedes the one-line error
+        code, out, err = run(
+            capsys, "verify", "--theorem", "T2", "--p", "1.01",
+            "--function", "2000*exp(-((x-2)^2))", "--interval", "0:4",
+        )  # fmt: skip
+    assert code == 2
+    assert out == ""
+    assert err == "error: the hypothesis function is not finite on the certify lattice\n"
 
 
 def test_unknown_theorem_is_usage_error(capsys):

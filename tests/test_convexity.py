@@ -2,23 +2,27 @@
 
 The grid search is deterministic, so falsification verdicts and
 counterexamples are reproducible and can be pinned.  The naive-loop oracle
-recomputes margins without any vectorization.
+recomputes margins without any vectorization; the whole-lattice oracle is the
+unblocked lattice search, which the blocked one must reproduce bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hhkit import convexity
 from hhkit.convexity import (
     CertificationReport,
     ConvexityParams,
+    Counterexample,
     certify,
     combination_coefficients,
     generalized_combination_rhs,
 )
 from hhkit.corpus import DOMAIN, FUNCTION_TEXTS, corpus_functions
-from hhkit.expr import DomainError, Interval, parse_function
+from hhkit.expr import DomainError, Interval, derivative_power, parse_function
 
 CLASSIC = ConvexityParams(1.0, 1.0, 1.0, "first")
 UNIT = Interval(0.0, 1.0)
@@ -201,3 +205,117 @@ def test_certify_rejects_nan_tolerance():
 def test_corpus_texts_are_the_expected_five():
     assert len(FUNCTION_TEXTS) == 5
     assert len(corpus_functions()) == 5
+
+
+# ---------------------------------------------------------------------------
+# blocked lattice against the whole-lattice search
+
+
+def _whole_lattice_margins(f, interval, params, grid_n):
+    """The lattice search as one grid_n^3 array: (margins, lhs, rhs, points, ys, mus)."""
+    points = np.linspace(interval.a, interval.b, grid_n)
+    mus = np.linspace(0.0, 1.0, grid_n)
+    fx = np.asarray(f(points), dtype=float)
+    if params.m > 0.0:
+        fy = np.asarray(f(points / params.m), dtype=float)
+        ys = points
+    else:
+        fy = None
+        ys = np.zeros(1)
+    X = points[:, None, None]
+    Y = ys[None, :, None]
+    MU = mus[None, None, :]
+    lhs = np.asarray(f(MU * X + (1.0 - MU) * Y), dtype=float)
+    fc, sc = combination_coefficients(params, mus)
+    rhs = fc[None, None, :] * fx[:, None, None]
+    if fy is not None:
+        rhs = rhs + sc[None, None, :] * fy[None, :, None]
+    rhs = np.broadcast_to(rhs, lhs.shape)
+    return rhs - lhs, lhs, rhs, points, ys, mus
+
+
+def _whole_lattice_certify(f, interval, params, grid_n, tolerance=1e-9):
+    margins, lhs, rhs, points, ys, mus = _whole_lattice_margins(f, interval, params, grid_n)
+    i, j, k = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    worst = float(margins[i, j, k])
+    cex = None
+    if worst < -tolerance:
+        cex = Counterexample(
+            float(points[i]), float(ys[j]), float(mus[k]), float(lhs[i, j, k]), float(rhs[i, j, k])
+        )
+    verdict = "falsified" if cex else "not_falsified"
+    return CertificationReport(int(margins.size), worst, cex, verdict)
+
+
+# convex with f(t)/t increasing, so in every class tested here; and one falsified everywhere
+_EQUIVALENCE_TEXTS = ("x^2 + 0.5*x^4", "1.1*x^3 - 1.7*exp(x)")
+
+
+def _block_sizes(grid_n, row):
+    """The default, one row, three rows (uneven for most grids), runs of 40 y
+    values within a row, and for small grids one mu line per block."""
+    return (None, row, 3 * row, 40 * grid_n) + ((1,) if grid_n <= 7 else ())
+
+
+@pytest.mark.parametrize("grid_n", [2, 3, 7, 50, 131])
+def test_blocked_certify_is_bitwise_the_whole_lattice(monkeypatch, grid_n):
+    verdicts = set()
+    for m in (0.0, 0.5, 0.75, 1.0):
+        a, b = (0.0, 1.5) if m == 0.0 else (0.5, 2.0)
+        iv = Interval(a, b)
+        domain = Interval(a, b / m if m > 0.0 else b)
+        row = grid_n * (grid_n if m > 0.0 else 1)
+        for sense in ("first", "second"):
+            params = ConvexityParams(0.75, 0.5, m, sense)
+            for text in _EQUIVALENCE_TEXTS:
+                f = parse_function(text, domain)
+                expected = repr(_whole_lattice_certify(f, iv, params, grid_n))
+                for points in _block_sizes(grid_n, row):
+                    if points is not None:
+                        monkeypatch.setattr(convexity, "BLOCK_POINTS", points)
+                    report = certify(f, iv, params, grid_n)
+                    assert repr(report) == expected, (m, sense, text, points)
+                    verdicts.add(report.verdict)
+                    monkeypatch.undo()
+    assert verdicts == {"falsified", "not_falsified"}
+
+
+@pytest.mark.parametrize("points", [20, 400])  # one mu line, one x row
+def test_worst_margin_tie_across_blocks_goes_to_the_first(monkeypatch, points):
+    f = parse_function("-(x^2)", UNIT)
+    margins = _whole_lattice_margins(f, UNIT, CLASSIC, 20)[0]
+    tied = np.argwhere(margins == margins.min())
+    assert {int(i) for i in tied[:, 0]} == {0, 19}  # the tie spans two blocks
+    monkeypatch.setattr(convexity, "BLOCK_POINTS", points)
+    report = certify(f, UNIT, CLASSIC, grid_n=20)
+    assert repr(report) == repr(_whole_lattice_certify(f, UNIT, CLASSIC, 20))
+    assert (report.counterexample.x, report.counterexample.y) == (0.0, 1.0)
+
+
+def test_certify_memory_does_not_grow_with_the_lattice():
+    f = parse_function("exp(x)", UNIT)
+    tracemalloc.start()
+    try:
+        report = certify(f, UNIT, CLASSIC, grid_n=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.samples_checked == 200**3
+    assert peak < 16 * 2**20  # the 8M-point lattice as one array is 64 MB per temporary
+
+
+def test_non_finite_hypothesis_values_raise():
+    # |f'|^101 overflows to inf, and 0*inf at mu = 0 would make the worst margin nan
+    iv = Interval(1.0, 3.0)
+    hyp = derivative_power(parse_function("exp(3*x)", iv), 101.0)
+    with pytest.raises(DomainError, match="not finite"):
+        certify(hyp, iv, CLASSIC, grid_n=50)
+
+
+def test_non_finite_margin_inside_the_lattice_raises():
+    # finite on the grid 0, 1/3, 2/3, 1 but nan at the lattice point 5/9
+    def f(t):
+        return np.where((t > 0.4) & (t < 0.6), np.nan, 0.0)
+
+    with pytest.raises(DomainError, match="not finite"):
+        certify(f, UNIT, CLASSIC, grid_n=4)

@@ -95,7 +95,8 @@ def test_vectorized_derivative_matches_scalar():
 # product-rule terms as arrays, even where a constant's derivative zeroes one,
 # the seed derivative is an array of ones, and results are copied.  Values and
 # derivatives must agree under == (a zero derivative may differ in sign only),
-# or both sides must raise the same exception class.
+# or both sides must raise the same exception class, where FunctionSpec reports
+# Python-float OverflowError and ZeroDivisionError as DomainError.
 
 
 def _full_add(self, other):
@@ -131,7 +132,10 @@ def _reference_eval_with_derivative(f: FunctionSpec, x):
     else:
         seed, shaped = DualValue(float(x), 1.0), float
     with mock.patch.multiple(DualValue, **full), np.errstate(all="ignore"):
-        out = f.body.evaluate(seed)
+        try:
+            out = f.body.evaluate(seed)
+        except (OverflowError, ZeroDivisionError):  # FunctionSpec maps Python-float errors
+            raise DomainError("Python-float overflow or division by zero") from None
     if not (np.all(np.isfinite(out.value)) and np.all(np.isfinite(out.derivative))):
         raise DomainError("non-finite value or derivative")
     return DualValue(shaped(out.value), shaped(out.derivative))

@@ -114,11 +114,13 @@ def certify(
     0 < m < 1 also at y/m for every sampled y.  When m == 0 the y axis drops
     out and the lattice is grid_n^2 points over (x, mu).
 
-    The lattice is evaluated in blocks of at most BLOCK_POINTS points (whole
-    x rows, or runs of y within one row when a row is larger), visited in
-    lexicographic order.  Apart from two grid_n^2 tables, memory does not
-    grow with grid_n; time is still grid_n^3 evaluations of f.  Raises
-    DomainError when f or a margin is not finite on the lattice.
+    The lattice is evaluated in blocks of whole x rows, at most BLOCK_POINTS
+    points each (one row when a row is larger), visited in lexicographic
+    order.  Memory therefore grows as grid_n^2, not grid_n^3, and does not
+    depend on grid_n while a row fits in BLOCK_POINTS; time is still grid_n^3
+    evaluations of f.  Raises DomainError when f is not finite at the grid
+    points or a block's least margin is NaN or -inf; a +inf margin cannot be
+    a counterexample and passes.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -142,23 +144,22 @@ def certify(
     y_lhs = (1.0 - MU) * ys[None, :, None]
     y_rhs = sc[None, None, :] * fy[None, :, None] if params.m > 0.0 else None
 
-    # blocks of `rows` whole x rows, or of `cols` y values within one row
+    # blocks of whole x rows, in lexicographic order
     row = len(ys) * grid_n
-    rows, cols = max(1, BLOCK_POINTS // row), min(len(ys), max(1, BLOCK_POINTS // grid_n))
+    rows = max(1, BLOCK_POINTS // row)
     worst = None  # (margin, (i, j, k), lhs, rhs): the first lattice point with the least margin
     for i0 in range(0, grid_n, rows):
-        x_lhs = MU * points[i0 : i0 + rows, None, None]
-        x_rhs = fc * fx[i0 : i0 + rows, None, None]
-        for j0 in range(0, len(ys), cols):
-            lhs = np.asarray(f(x_lhs + y_lhs[:, j0 : j0 + cols]), dtype=float)
-            rhs = x_rhs if y_rhs is None else x_rhs + y_rhs[:, j0 : j0 + cols]
-            margins = rhs - lhs
-            at = np.unravel_index(int(np.argmin(margins)), margins.shape)
-            if not np.isfinite(margins[at]):
-                raise DomainError(_NOT_FINITE)
-            if worst is None or margins[at] < worst[0]:
-                i, j, k = (int(v) for v in at)
-                worst = (float(margins[at]), (i0 + i, j0 + j, k), float(lhs[at]), float(rhs[at]))
+        lhs = np.asarray(f(MU * points[i0 : i0 + rows, None, None] + y_lhs), dtype=float)
+        rhs = fc * fx[i0 : i0 + rows, None, None]
+        if y_rhs is not None:
+            rhs = rhs + y_rhs
+        margins = rhs - lhs
+        at = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        if not np.isfinite(margins[at]):
+            raise DomainError(_NOT_FINITE)
+        if worst is None or margins[at] < worst[0]:
+            i, j, k = (int(v) for v in at)
+            worst = (float(margins[at]), (i0 + i, j, k), float(lhs[at]), float(rhs[at]))
 
     margin, (i, j, k), lhs, rhs = worst
     if margin < -tolerance:

@@ -309,12 +309,14 @@ def test_python_float_overflow_is_usage_error(capsys, argv, reason):
     assert err == f"error: {reason}\n"
 
 
-def test_non_finite_hypothesis_lattice_is_usage_error(capsys):
-    # |f'|^101 is finite at the endpoints, which the bound uses, but overflows inside
+@pytest.mark.parametrize("theorem", [("--theorem", "T2"), ()], ids=["T2", "all"])
+def test_non_finite_hypothesis_lattice_is_usage_error(capsys, theorem):
+    # |f'|^101 is finite at the endpoints, which the bound uses, but overflows
+    # inside; without --theorem the whole run fails too, T1 and T4 rows included
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and no numpy warning precedes the one-line error
         code, out, err = run(
-            capsys, "verify", "--theorem", "T2", "--p", "1.01",
+            capsys, "verify", *theorem, "--p", "1.01",
             "--function", "2000*exp(-((x-2)^2))", "--interval", "0:4",
         )  # fmt: skip
     assert code == 2

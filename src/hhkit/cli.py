@@ -194,11 +194,12 @@ def _function_for(cmd: Command) -> FunctionSpec:
         raise ValueError(f"{cmd.subcommand} requires --interval")
     a, b = cmd.interval.a, cmd.interval.b
     m = cmd.params.m
-    # m < 1 evaluates f (or f') at y/m beyond the interval; widen the domain
+    # m < 1 evaluates f (or f') at y/m beyond the interval, and m = 0 at mu*x
+    # down to 0; widen the domain to cover those points
     if m > 0.0:
         lo, hi = min(a, a / m), max(b, b / m)
     else:
-        lo, hi = a, b
+        lo, hi = min(a, 0.0), max(b, 0.0)
     return parse_function(cmd.function, Interval(lo, hi))
 
 

@@ -26,6 +26,7 @@ SENSES = ("first", "second")
 DEFAULT_GRID_N = 50
 DEFAULT_TOLERANCE = 1e-9
 BLOCK_POINTS = 1 << 15  # 256 KB per float64 temporary, so a block's passes stay in L2
+MAX_LATTICE_POINTS = 1 << 30  # 8-21 s of f at 7.5-20 ns per point (2-CPU VM); refused past it
 _NOT_FINITE = "the hypothesis function is not finite on the certify lattice"
 
 
@@ -118,14 +119,21 @@ def certify(
     points each (one row when a row is larger), visited in lexicographic
     order.  Memory therefore grows as grid_n^2, not grid_n^3, and does not
     depend on grid_n while a row fits in BLOCK_POINTS; time is still grid_n^3
-    evaluations of f.  Raises DomainError when f is not finite at the grid
-    points or a block's least margin is NaN or -inf; a +inf margin cannot be
-    a counterexample and passes.
+    evaluations of f, so a lattice of more than MAX_LATTICE_POINTS points is
+    refused with ValueError before f is evaluated.  Raises DomainError when f
+    is not finite at the grid points or a block's least margin is NaN or -inf;
+    a +inf margin cannot be a counterexample and passes.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     if not tolerance >= 0.0:
         raise ValueError("tolerance must be non-negative")
+    size = grid_n**3 if params.m > 0.0 else grid_n**2
+    if size > MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"grid_n={grid_n} gives a lattice of {size} points, "
+            f"more than the cap of {MAX_LATTICE_POINTS}"
+        )
 
     points = np.linspace(interval.a, interval.b, grid_n)
     mus = np.linspace(0.0, 1.0, grid_n)

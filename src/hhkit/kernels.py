@@ -12,13 +12,15 @@ module also evaluates each moment numerically so the closed forms can be
 verified at runtime to tight tolerance.  Both kernels have interior kinks
 (t = 1/2, respectively t = u), so the quadrature splits at the kink and uses
 a cubic change of variable to cluster nodes where t^c loses smoothness for
-small c.
+small c.  Each numeric moment is memoised on the one exponent it depends on
+(alpha_s, p or none) and the node budget, never on the tolerance, so a sweep
+over alpha_s x p runs each quadrature once per exponent value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -84,7 +86,8 @@ class KernelIdentityReport:
 
 def kernel_constants(alpha_s: float, m: float = 1.0) -> KernelConstants:
     """Closed-form moments v1, v2, u1, u2 for the given exponent and scale."""
-    _validate_exponent(alpha_s)
+    if not 0.0 < alpha_s <= 1.0:
+        raise ValueError(f"alpha_s must lie in (0, 1], got {alpha_s}")
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"m must lie in [0, 1], got {m}")
     c = alpha_s
@@ -110,11 +113,6 @@ def holder_constants(p: float) -> tuple[float, float]:
     if not p >= 1.0:
         raise ValueError(f"p must be at least 1, got {p}")
     return 1.0 / (1.0 + p), 2.0 / ((1.0 + p) * (2.0 + p))
-
-
-def _validate_exponent(alpha_s: float) -> None:
-    if not 0.0 < alpha_s <= 1.0:
-        raise ValueError(f"alpha_s must lie in (0, 1], got {alpha_s}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +227,22 @@ def _with_convergence(name: str, evaluate: Callable[[tuple[int, int]], float], t
     return primary
 
 
+# moment -> (the exponent it depends on, its quadrature at that exponent and a
+# node budget); the profiles are t^c and 1 - t^c with c = alpha_s
+_MOMENTS = {
+    "line_t": ("alpha_s", lambda c, nn: _line_moment(lambda t: t**c, nn[0])),
+    "line_comp": ("alpha_s", lambda c, nn: _line_moment(lambda t: 1.0 - t**c, nn[0])),
+    "line_p": ("p", lambda p, nn: _line_power(p, nn[0])),
+    "pair_t": ("alpha_s", lambda c, nn: _pair_moment(lambda t: t**c, *nn)),
+    "pair_comp": ("alpha_s", lambda c, nn: _pair_moment(lambda t: 1.0 - t**c, *nn)),
+    "pair_p": ("p", lambda p, nn: _pair_power(p, *nn)),
+    "pair_plain": (None, lambda _, nn: _pair_moment(np.ones_like, *nn)),
+}
+
+
 @lru_cache(maxsize=None)
-def _numeric_moments(alpha_s: float, p: float, tol: float) -> dict:
-    c = alpha_s
-    t_profile = lambda t: t**c  # noqa: E731
-    comp_profile = lambda t: 1.0 - t**c  # noqa: E731
-    return {
-        "line_t": _with_convergence(
-            "line_t", lambda nn: _line_moment(t_profile, nn[0]), tol
-        ),
-        "line_comp": _with_convergence(
-            "line_comp", lambda nn: _line_moment(comp_profile, nn[0]), tol
-        ),
-        "line_p": _with_convergence("line_p", lambda nn: _line_power(p, nn[0]), tol),
-        "pair_t": _with_convergence(
-            "pair_t", lambda nn: _pair_moment(t_profile, *nn), tol
-        ),
-        "pair_comp": _with_convergence(
-            "pair_comp", lambda nn: _pair_moment(comp_profile, *nn), tol
-        ),
-        "pair_p": _with_convergence("pair_p", lambda nn: _pair_power(p, *nn), tol),
-        "pair_plain": _with_convergence(
-            "pair_plain", lambda nn: _pair_moment(np.ones_like, *nn), tol
-        ),
-    }
+def _moment(key: str, exponent, nodes: tuple[int, int]) -> float:
+    return _MOMENTS[key][1](exponent, nodes)
 
 
 def verify_kernel_identities(
@@ -265,15 +255,15 @@ def verify_kernel_identities(
     ``_qform``); those share the numeric value with their plain counterparts
     but are listed separately so a report row exists for each use site.
     """
-    _validate_exponent(alpha_s)
-    if not p >= 1.0:
-        raise ValueError(f"p must be at least 1, got {p}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
     kc = kernel_constants(alpha_s, 1.0)
     c1, c2 = holder_constants(p)
-    numeric = _numeric_moments(alpha_s, p, tol)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    exponents = {"alpha_s": alpha_s, "p": p, None: None}
+    numeric = {
+        key: _with_convergence(key, partial(_moment, key, exponents[dep]), tol)
+        for key, (dep, _) in _MOMENTS.items()
+    }
 
     closed = {
         "trapezoid_kernel_t_weight": ("line_t", 1, kc.v1),

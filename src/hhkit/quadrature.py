@@ -95,14 +95,6 @@ def trapezoid_sum(f, partition: Partition) -> float:
     return _trapezoid(partition.points, f(partition.points))
 
 
-def _p4_base(s: float) -> float:
-    return kernel_constants(s).v1
-
-
-def _p5_base(s: float) -> float:
-    return 2.0 * kernel_constants(s).u1
-
-
 def bound_constant(variant: str, s: float, p: float) -> float:
     """Partition-independent constant in front of the panel sum."""
     variant = str(variant).upper()
@@ -113,9 +105,10 @@ def bound_constant(variant: str, s: float, p: float) -> float:
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
     q = p / (p - 1.0)
+    kc = kernel_constants(s)
     if variant == "P4":
-        return (1.0 / 2.0 ** (1.0 / p)) * _p4_base(s) ** (1.0 / q)
-    return (2.0 / 3.0) ** (1.0 / p) * _p5_base(s) ** (1.0 / q)
+        return (1.0 / 2.0 ** (1.0 / p)) * kc.v1 ** (1.0 / q)
+    return (2.0 / 3.0) ** (1.0 / p) * (2.0 * kc.u1) ** (1.0 / q)
 
 
 def _panel_sum(pts: np.ndarray, derivative) -> float:

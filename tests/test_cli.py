@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 import warnings
 
 import pytest
@@ -371,3 +372,46 @@ def test_leading_dash_function_value_is_normalized(capsys):
     code, out, _ = run(capsys, "certify", "--function", "-(x^2)", "--interval=-1:1")
     assert code == 1
     assert "falsified" in out
+
+
+def test_certify_past_the_lattice_cap_fails_fast(capsys):
+    # grid 2000 is 8e9 lattice points, minutes of work; refused before any
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "certify", "--function", "exp(x)", "--interval", "0:1", "--grid", "2000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "grid_n=2000" in err
+    assert "8000000000 points" in err
+    assert "cap of 1073741824" in err
+
+
+@pytest.mark.parametrize("interval", ["1:2", "-2:-1"])
+def test_certify_at_m_zero_evaluates_down_to_zero(capsys, interval):
+    # the m = 0 lattice evaluates f(mu*x) for mu in [0, 1], so 0 is in the domain
+    code, out, err = run(
+        capsys, "certify", "--m", "0", "--function", "x^2", f"--interval={interval}"
+    )
+    assert (code, err) == (0, "")
+    assert "not_falsified" in out
+
+
+def test_certify_at_m_zero_finds_a_true_counterexample(capsys):
+    code, out, _ = run(
+        capsys, "certify", "--m", "0", "--function", "-(x^2)", "--interval", "1:2"
+    )
+    assert code == 1
+    # f(mu*x) > mu*f(x) at x = 2, mu = 0.489796: -0.9596 > -1.95918
+    assert "falsified, worst_margin=-0.999584" in out
+    assert "counterexample x=2 y=0 mu=0.489796" in out
+
+
+def test_certify_at_m_zero_keeps_the_function_domain(capsys):
+    code, out, err = run(
+        capsys, "certify", "--m", "0", "--function", "log(x)", "--interval", "1:2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "log argument must be positive" in err

@@ -319,3 +319,41 @@ def test_non_finite_margin_inside_the_lattice_raises():
 
     with pytest.raises(DomainError, match="not finite"):
         certify(f, UNIT, CLASSIC, grid_n=4)
+
+
+# ---------------------------------------------------------------------------
+# the lattice cap
+
+
+def test_lattice_past_the_cap_is_refused_before_f_is_evaluated():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(x)
+
+    with pytest.raises(ValueError) as exc:
+        certify(f, UNIT, CLASSIC, grid_n=1025)
+    assert str(exc.value) == (
+        "grid_n=1025 gives a lattice of 1076890625 points, more than the cap of 1073741824"
+    )
+    assert calls == []
+
+
+def test_lattice_at_the_cap_is_accepted():
+    class Evaluated(Exception):
+        pass
+
+    def f(x):
+        raise Evaluated
+
+    assert convexity.MAX_LATTICE_POINTS == 1024**3
+    with pytest.raises(Evaluated):
+        certify(f, UNIT, CLASSIC, grid_n=1024)
+
+
+def test_lattice_cap_counts_grid_squared_at_m_zero():
+    f = parse_function("x^2", UNIT)  # convex with f(0) = 0, so f(mu*x) <= mu*f(x)
+    report = certify(f, UNIT, ConvexityParams(1.0, 1.0, 0.0), grid_n=1025)
+    assert report.samples_checked == 1025**2
+    assert report.verdict == "not_falsified"

@@ -5,15 +5,26 @@ computed with mpmath at 50 digits (closed form and defining integral agree
 to ~1e-45 there, so one frozen float per constant suffices).
 """
 
+import collections
 import math
 
+import numpy as np
 import pytest
 
-from hhkit.corpus import ALPHA_S_GRID
+from hhkit import kernels
+from hhkit.cli import _SUITE_KERNEL_TOL
+from hhkit.corpus import ALPHA_S_GRID, HOLDER_PS
 from hhkit.kernels import (
     HolderExponents,
+    IdentityCheck,
+    KernelIdentityReport,
     _CONVERGENCE_SLACK,
     _NODES,
+    _NODES_CHECK,
+    _line_moment,
+    _line_power,
+    _pair_moment,
+    _pair_power,
     _with_convergence,
     holder_constants,
     kernel_constants,
@@ -171,3 +182,114 @@ def test_convergence_guard_accepts_agreement():
     value = _with_convergence("synthetic", lambda nodes: 0.75, tol=1e-8)
     assert value == 0.75
     assert _CONVERGENCE_SLACK == 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the moment memo against the per-(alpha_s, p, tol) evaluation it replaced
+
+
+def _numeric_moments(alpha_s, p, tol):
+    """Every moment evaluated afresh for one (alpha_s, p, tol), as before the memo."""
+    c = alpha_s
+    t_profile = lambda t: t**c  # noqa: E731
+    comp_profile = lambda t: 1.0 - t**c  # noqa: E731
+    return {
+        "line_t": _with_convergence("line_t", lambda nn: _line_moment(t_profile, nn[0]), tol),
+        "line_comp": _with_convergence(
+            "line_comp", lambda nn: _line_moment(comp_profile, nn[0]), tol
+        ),
+        "line_p": _with_convergence("line_p", lambda nn: _line_power(p, nn[0]), tol),
+        "pair_t": _with_convergence("pair_t", lambda nn: _pair_moment(t_profile, *nn), tol),
+        "pair_comp": _with_convergence(
+            "pair_comp", lambda nn: _pair_moment(comp_profile, *nn), tol
+        ),
+        "pair_p": _with_convergence("pair_p", lambda nn: _pair_power(p, *nn), tol),
+        "pair_plain": _with_convergence(
+            "pair_plain", lambda nn: _pair_moment(np.ones_like, *nn), tol
+        ),
+    }
+
+
+def _reference_report(alpha_s, p, tol):
+    kc = kernel_constants(alpha_s, 1.0)
+    c1, c2 = holder_constants(p)
+    numeric = _numeric_moments(alpha_s, p, tol)
+    closed = {
+        "trapezoid_kernel_t_weight": ("line_t", 1, kc.v1),
+        "trapezoid_kernel_t_weight_complement": ("line_comp", 1, 0.5 - kc.v1),
+        "trapezoid_kernel_p_power": ("line_p", 1, c1),
+        "trapezoid_kernel_t_weight_qform": ("line_t", 1, kc.v1),
+        "trapezoid_kernel_t_weight_complement_qform": ("line_comp", 1, 0.5 - kc.v1),
+        "pair_kernel_t_weight": ("pair_t", 2, kc.u1),
+        "pair_kernel_t_weight_complement": ("pair_comp", 2, 1.0 / 3.0 - kc.u1),
+        "pair_kernel_p_power": ("pair_p", 2, c2),
+        "pair_kernel_plain": ("pair_plain", 2, 1.0 / 3.0),
+        "pair_kernel_t_weight_qform": ("pair_t", 2, kc.u1),
+        "pair_kernel_t_weight_complement_qform": ("pair_comp", 2, 1.0 / 3.0 - kc.u1),
+    }
+    checks = []
+    for name, (key, dim, target) in closed.items():
+        residual = abs(numeric[key] - target)
+        checks.append(IdentityCheck(name, dim, numeric[key], target, residual, residual <= tol))
+    return KernelIdentityReport(
+        alpha_s, p, tol, tuple(checks),
+        max(ch.residual for ch in checks), all(ch.passed for ch in checks),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception class is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-12])
+def test_memoised_moments_give_the_reports_of_fresh_evaluation(tol):
+    for c in ALPHA_S_GRID:
+        for p in HOLDER_PS:
+            expected = _outcome(_reference_report, c, p, tol)
+            assert _outcome(verify_kernel_identities, c, p, tol) == expected, (c, p)
+
+
+def test_suite_sweep_runs_each_moment_once_per_exponent(monkeypatch):
+    # 20 alpha_s x 4 moments + 3 p x 2 moments + the plain pair moment = 87
+    budgets = collections.Counter()
+
+    def counted(quadrature):
+        def run(exponent, nodes):
+            budgets[nodes] += 1
+            return quadrature(exponent, nodes)
+
+        return run
+
+    for key, (dep, quadrature) in list(kernels._MOMENTS.items()):
+        monkeypatch.setitem(kernels._MOMENTS, key, (dep, counted(quadrature)))
+
+    def sweep(tol):
+        budgets.clear()
+        for c in ALPHA_S_GRID:
+            for p in HOLDER_PS:
+                verify_kernel_identities(c, p, tol)
+        return dict(budgets)
+
+    kernels._moment.cache_clear()
+    try:
+        assert sweep(max(_SUITE_KERNEL_TOL.values())) == {_NODES: 87, _NODES_CHECK: 87}
+        assert sweep(1e-9) == {}  # tol is not part of the memo key
+    finally:
+        kernels._moment.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "alpha_s, p, message",
+    [
+        (0.0, 0.5, "alpha_s must lie in (0, 1], got 0.0"),
+        (0.5, 0.5, "p must be at least 1, got 0.5"),
+        (0.5, 2.0, "tol must be positive"),
+    ],
+)
+def test_verification_validates_alpha_s_then_p_then_tol(alpha_s, p, message):
+    with pytest.raises(ValueError) as exc:
+        verify_kernel_identities(alpha_s, p, tol=0.0)
+    assert str(exc.value) == message

@@ -17,8 +17,6 @@ from hhkit.quadrature import (
     N_CAP,
     NonConvergenceError,
     Partition,
-    _p4_base,
-    _p5_base,
     _uniform_pass,
     bound_constant,
     integrate_with_guarantee,
@@ -108,15 +106,16 @@ def test_bound_constant_validation():
         bound_constant("P4", 1.0, 1.0)
 
 
-def test_p4_constant_base_is_bitwise_equal_to_kernel_v1():
-    # two code paths, one closed form; they must agree exactly, not just closely
+def test_bound_constant_is_exactly_the_kernel_closed_form():
+    # P4 and P5 read v1 and u1 from kernel_constants; the bits must not move
     for s in S_GRID:
-        assert _p4_base(s) == kernel_constants(s).v1, s
-
-
-def test_p5_constant_base_matches_kernel_u1():
-    for s in S_GRID:
-        assert math.isclose(_p5_base(s), 2.0 * kernel_constants(s).u1, rel_tol=1e-15), s
+        kc = kernel_constants(s)
+        for p in (1.5, 2.0, 3.0):
+            q = p / (p - 1.0)
+            p4 = (1.0 / 2.0 ** (1.0 / p)) * kc.v1 ** (1.0 / q)
+            p5 = (2.0 / 3.0) ** (1.0 / p) * (2.0 * kc.u1) ** (1.0 / q)
+            assert bound_constant("P4", s, p) == p4, (s, p)
+            assert bound_constant("P5", s, p) == p5, (s, p)
 
 
 def test_bounds_are_sound_on_corpus():

@@ -299,30 +299,34 @@ def _cmd_means(cmd: Command):
     if not a > 0.0:
         raise ValueError(f"means requires positive endpoints, got a={a}")
     hp = HolderExponents(cmd.p)
+    # endpoints far apart overflow the p-logarithmic mean; tiny ones underflow
+    # the geometric mean to 0, which P2 divides by
+    try:
+        values = {}
+        for kind in means.MEAN_KINDS:
+            p = cmd.p if kind == "p_logarithmic" else None
+            values[kind] = means.mean(means.MeanRequest(kind, a, b, p))
+            inputs = {"kind": kind, "a": a, "b": b}
+            if p is not None:
+                inputs["p"] = p
+            yield "mean", inputs, values[kind], values[kind], 0.0, "value"
 
-    values = {}
-    for kind in means.MEAN_KINDS:
-        p = cmd.p if kind == "p_logarithmic" else None
-        values[kind] = means.mean(means.MeanRequest(kind, a, b, p))
-        inputs = {"kind": kind, "a": a, "b": b}
-        if p is not None:
-            inputs["p"] = p
-        yield "mean", inputs, values[kind], values[kind], 0.0, "value"
-
-    margin = min(means.mean_chain_margins(a, b))
-    yield (
-        "mean_chain",
-        {"a": a, "b": b},
-        values["harmonic"],
-        values["arithmetic"],
-        margin,
-        _verdict(margin, _SUITE_MEAN_TOL),
-    )
-
-    for pid in means.PROPOSITION_IDS:
-        yield _proposition_row(
-            means.proposition_check(pid, a, b, hp, n=cmd.n if pid == "P3" else None)
+        margin = min(means.mean_chain_margins(a, b))
+        yield (
+            "mean_chain",
+            {"a": a, "b": b},
+            values["harmonic"],
+            values["arithmetic"],
+            margin,
+            _verdict(margin, _SUITE_MEAN_TOL),
         )
+
+        for pid in means.PROPOSITION_IDS:
+            yield _proposition_row(
+                means.proposition_check(pid, a, b, hp, n=cmd.n if pid == "P3" else None)
+            )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"means at a={a}, b={b} leave the float64 range ({exc})") from None
 
 
 def _proposition_row(rep: hhbounds.BoundReport):

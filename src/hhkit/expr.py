@@ -12,11 +12,13 @@ Note that per this grammar a leading unary minus is part of a power's base:
 ``-x^2`` parses as ``(-x)^2``.  Write ``-(x^2)`` for the other reading.
 
 Evaluation accepts floats or numpy arrays and is deterministic: repeated
-evaluation at the same input is bit-identical.  In forward mode a constant
-carries the scalar derivative 0.0 and the seed x the scalar 1.0, for arrays
-too, so a product-rule term a constant zeroes is skipped rather than computed
-as an array.  ``value`` and ``eval_with_derivative`` return arrays the caller
-owns: never x, never shared with each other or with a later call.
+evaluation at the same input is bit-identical.  Each node has one ``evaluate``
+for plain and dual inputs, and writes each domain check once, on the operand's
+value; ``DualValue`` carries only + - * / and negation.  In forward mode a
+constant carries the scalar derivative 0.0 and the seed x the scalar 1.0, for
+arrays too, so a product-rule term a constant zeroes is skipped rather than
+computed as an array.  ``value`` and ``eval_with_derivative`` return arrays
+the caller owns: never x, never shared with each other or with a later call.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def _is_zero(d) -> bool:
 @dataclass(frozen=True)
 class DualValue:
     """A (value, derivative) pair; each component is a float or an array of x's shape,
-    and a constant's derivative is the scalar 0.0."""
+    and a constant's derivative is the scalar 0.0.  It carries arithmetic only; the
+    nodes apply every other rule and every domain check."""
 
     value: Scalar
     derivative: Scalar
@@ -113,8 +116,6 @@ class DualValue:
         return DualValue(self.value * other.value, der)
 
     def __truediv__(self, other: "DualValue") -> "DualValue":
-        if np.any(other.value == 0.0):
-            raise DomainError("division by zero")
         num = self.derivative * other.value
         if not _is_zero(other.derivative):
             num = num - self.value * other.derivative
@@ -123,64 +124,48 @@ class DualValue:
     def __neg__(self) -> "DualValue":
         return DualValue(-self.value, -self.derivative)
 
-    def exp(self) -> "DualValue":
-        e = np.exp(self.value)
-        return DualValue(e, e * self.derivative)
 
-    def log(self) -> "DualValue":
-        if np.any(self.value <= 0.0):
-            raise DomainError("log argument must be positive")
-        return DualValue(np.log(self.value), self.derivative / self.value)
-
-    def abs(self) -> "DualValue":
-        if np.any(self.value == 0.0):
-            raise DerivativeUndefinedError("derivative of abs is undefined at 0")
-        return DualValue(np.abs(self.value), np.sign(self.value) * self.derivative)
+def _value_of(v):
+    return v.value if isinstance(v, DualValue) else v
 
 
-def _is_integer(c: float) -> bool:
-    return float(c).is_integer()
+def _unary(v, fn, rule, *args):
+    """fn(v, *args) on a plain value; on a dual (u, d) the pair
+    (fn(u, *args), rule(u, d, fn(u, *args), *args))."""
+    if not isinstance(v, DualValue):
+        return fn(v, *args)
+    out = fn(v.value, *args)
+    return DualValue(out, rule(v.value, v.derivative, out, *args))
+
+
+def _log(u):
+    if np.any(u <= 0.0):
+        raise DomainError("log argument must be positive")
+    return np.log(u)
+
+
+def _abs_rule(u, d, out):
+    if np.any(u == 0.0):
+        raise DerivativeUndefinedError("derivative of abs is undefined at 0")
+    return np.sign(u) * d
 
 
 def _pow_plain(base: Scalar, c: float) -> Scalar:
-    if not _is_integer(c) and np.any(base < 0.0):
+    if not float(c).is_integer() and np.any(base < 0.0):
         raise DomainError(f"negative base with non-integer exponent {c}")
     if c < 0.0 and np.any(base == 0.0):
         raise DomainError(f"zero base with negative exponent {c}")
     return base**c
 
 
-def _pow_const(v: Union[Scalar, DualValue], c: float) -> Union[Scalar, DualValue]:
-    if not isinstance(v, DualValue):
-        return _pow_plain(v, c)
-    val = _pow_plain(v.value, c)
+def _pow_rule(u, d, out, c: float):
     if c == 0.0:
-        der = v.derivative * 0.0
-    elif c == 1.0:
-        der = v.derivative
-    else:
-        if c < 1.0 and np.any(v.value == 0.0):
-            raise DerivativeUndefinedError(f"derivative of x^{c} is undefined at 0")
-        der = c * _pow_plain(v.value, c - 1.0) * v.derivative
-    return DualValue(val, der)
-
-
-def _pow_general(
-    base: Union[Scalar, DualValue], expo: Union[Scalar, DualValue]
-) -> Union[Scalar, DualValue]:
-    # non-constant exponent: restrict to positive base so u^w = exp(w log u) is well defined
-    if isinstance(base, DualValue):
-        if np.any(base.value <= 0.0):
-            raise DomainError("power with non-constant exponent requires a positive base")
-        val = base.value**expo.value
-        der = val * (
-            expo.derivative * np.log(base.value)
-            + expo.value * base.derivative / base.value
-        )
-        return DualValue(val, der)
-    if np.any(base <= 0.0):
-        raise DomainError("power with non-constant exponent requires a positive base")
-    return base**expo
+        return d * 0.0
+    if c == 1.0:
+        return d
+    if c < 1.0 and np.any(u == 0.0):
+        raise DerivativeUndefinedError(f"derivative of x^{c} is undefined at 0")
+    return c * _pow_plain(u, c - 1.0) * d
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +243,7 @@ class Div(ExprNode):
     def evaluate(self, x):
         num = self.left.evaluate(x)
         den = self.right.evaluate(x)
-        if isinstance(den, DualValue):
-            return num / den
-        if np.any(den == 0.0):
+        if np.any(_value_of(den) == 0.0):
             raise DomainError("division by zero")
         return num / den
 
@@ -274,12 +257,20 @@ class Pow(ExprNode):
         b = self.base.evaluate(x)
         expo = self.exponent
         if isinstance(expo, Constant):
-            return _pow_const(b, expo.value)
+            return _unary(b, _pow_plain, _pow_rule, expo.value)
         if not _depends_on_x(expo):
             # e.g. x^2^3: the exponent folds to a number, so the constant-power
             # rules (integer powers at any base) apply
-            return _pow_const(b, float(expo.evaluate(0.0)))
-        return _pow_general(b, expo.evaluate(x))
+            return _unary(b, _pow_plain, _pow_rule, float(expo.evaluate(0.0)))
+        w = expo.evaluate(x)
+        u = _value_of(b)
+        # non-constant exponent: restrict to positive base so u^w = exp(w log u) is well defined
+        if np.any(u <= 0.0):
+            raise DomainError("power with non-constant exponent requires a positive base")
+        if not isinstance(b, DualValue):
+            return u**w
+        val = u**w.value
+        return DualValue(val, val * (w.derivative * np.log(u) + w.value * b.derivative / u))
 
 
 @dataclass(frozen=True)
@@ -287,10 +278,7 @@ class Exp(ExprNode):
     operand: ExprNode
 
     def evaluate(self, x):
-        v = self.operand.evaluate(x)
-        if isinstance(v, DualValue):
-            return v.exp()
-        return np.exp(v)
+        return _unary(self.operand.evaluate(x), np.exp, lambda u, d, e: e * d)
 
 
 @dataclass(frozen=True)
@@ -298,12 +286,7 @@ class Log(ExprNode):
     operand: ExprNode
 
     def evaluate(self, x):
-        v = self.operand.evaluate(x)
-        if isinstance(v, DualValue):
-            return v.log()
-        if np.any(v <= 0.0):
-            raise DomainError("log argument must be positive")
-        return np.log(v)
+        return _unary(self.operand.evaluate(x), _log, lambda u, d, out: d / u)
 
 
 @dataclass(frozen=True)
@@ -311,22 +294,13 @@ class Abs(ExprNode):
     operand: ExprNode
 
     def evaluate(self, x):
-        v = self.operand.evaluate(x)
-        if isinstance(v, DualValue):
-            return v.abs()
-        return np.abs(v)
+        return _unary(self.operand.evaluate(x), np.abs, _abs_rule)
 
 
 def _depends_on_x(node: ExprNode) -> bool:
     if isinstance(node, Variable):
         return True
-    if isinstance(node, Constant):
-        return False
-    if isinstance(node, (Neg, Exp, Log, Abs)):
-        return _depends_on_x(node.operand)
-    if isinstance(node, Pow):
-        return _depends_on_x(node.base) or _depends_on_x(node.exponent)
-    return _depends_on_x(node.left) or _depends_on_x(node.right)
+    return any(_depends_on_x(v) for v in vars(node).values() if isinstance(v, ExprNode))
 
 
 # ---------------------------------------------------------------------------

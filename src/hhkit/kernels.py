@@ -56,8 +56,8 @@ class HolderExponents:
     q: float = 0.0
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
+        if not 1.0 < self.p < np.inf:
+            raise ValueError(f"p must exceed 1 and be finite, got {self.p}")
         if self.q == 0.0:
             object.__setattr__(self, "q", self.p / (self.p - 1.0))
         if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-14:

@@ -102,8 +102,8 @@ def bound_constant(variant: str, s: float, p: float) -> float:
         raise ValueError(f"variant must be one of {BOUND_VARIANTS}, got {variant!r}")
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p must exceed 1 and be finite, got {p}")
     q = p / (p - 1.0)
     kc = kernel_constants(s)
     if variant == "P4":

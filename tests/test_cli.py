@@ -346,6 +346,32 @@ def test_invalid_p_with_plain_theorem_is_usage_error(capsys, subcommand, theorem
     assert "p must exceed 1" in err
 
 
+@pytest.mark.parametrize("subcommand", ["bound", "verify", "integrate"])
+def test_infinite_p_is_usage_error(capsys, subcommand):
+    # p = inf gives q = nan: bound printed rhs=nan and exited 0, verify blamed
+    # the lattice and integrate failed converting nan to a panel count
+    code, out, err = run(
+        capsys, subcommand, "--theorem", "T2", "--function", "x^2",
+        "--interval", "1:2", "--p", "inf",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: p must exceed 1 and be finite, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "interval, a, b",
+    [
+        ("1:1e154", "1.0", "1e+154"),  # the p-logarithmic mean overflows
+        ("1e-300:1e-299", "1e-300", "1e-299"),  # the geometric mean underflows to 0
+    ],
+)
+def test_means_out_of_float64_range_is_input_error(capsys, interval, a, b):
+    code, out, err = run(capsys, "means", "--interval", interval)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: means at a={a}, b={b} leave the float64 range")
+    assert err.count("\n") == 1
+
+
 def test_integrate_past_panel_cap_is_refused_with_predicted_n(capsys):
     # the default tol 1e-6 needs about 5.7e7 panels for x^4 on [1, 3]
     code, out, err = run(capsys, "integrate", "--function", "x^4", "--interval", "1:3")

@@ -255,6 +255,108 @@ def test_value_overflowed_to_inf_under_a_constant_factor_departs_from_full_array
 
 
 # ---------------------------------------------------------------------------
+# one rule per node: plain and dual evaluation share each domain check
+
+
+def _unchecked(text: str, domain: Interval = DOMAIN) -> FunctionSpec:
+    """A FunctionSpec without the construction-time finiteness check, so it can be
+    evaluated where a domain rule fails."""
+    with mock.patch.object(FunctionSpec, "__post_init__", lambda self: None):
+        return parse_function(text, domain)
+
+
+@pytest.mark.parametrize(
+    "text, x, message",
+    [
+        ("1/(x-1)", 1.0, "division by zero"),
+        ("log(x-1)", 0.5, "log argument must be positive"),
+        ("(x-1)^0.5", 0.5, "negative base with non-integer exponent 0.5"),
+        ("(x-1)^-1", 1.0, "zero base with negative exponent -1.0"),
+        ("x^x", 0.0, "power with non-constant exponent requires a positive base"),
+    ],
+)
+def test_value_and_derivative_raise_the_same_domain_error(text, x, message):
+    f = _unchecked(text)
+    for at in (x, np.array([2.0, x])):
+        for evaluate in (f.value, f.eval_with_derivative):
+            with pytest.raises(DomainError) as exc:
+                evaluate(at)
+            assert type(exc.value) is DomainError, (text, at, evaluate)
+            assert str(exc.value) == message, (text, at, evaluate)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("abs(x-1)", "derivative of abs is undefined at 0"),
+        ("(x-1)^0.5", "derivative of x^0.5 is undefined at 0"),
+    ],
+)
+def test_an_undefined_derivative_fails_only_the_dual_evaluation(text, message):
+    f = parse_function(text, Interval(1.0, 3.0))
+    for at in (1.0, np.array([2.0, 1.0])):
+        assert np.all(np.isfinite(f.value(at)))
+        with pytest.raises(DerivativeUndefinedError) as exc:
+            f.eval_with_derivative(at)
+        assert str(exc.value) == message
+
+
+class _Counted(np.ndarray):
+    """An array that counts the ufunc calls made on it, each one array pass."""
+
+    passes = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Counted.passes += 1
+        inputs = tuple(i.view(np.ndarray) if isinstance(i, _Counted) else i for i in inputs)
+        out = getattr(ufunc, method)(*inputs, **kwargs)
+        return out.view(_Counted) if isinstance(out, np.ndarray) else out
+
+
+# (value, eval_with_derivative) array passes of one call on 9 points, domain and
+# finiteness checks included: a refactor of the evaluator must not add work
+_ARRAY_PASSES = {
+    "x^2": (7, 12),
+    "x^4": (7, 12),
+    "exp(x)": (7, 10),
+    "exp(2*x)": (8, 11),
+    "x^2 + 3*x": (9, 15),
+    "(1 - x)^4": (8, 13),
+    "-(x^2)": (8, 14),
+    "exp(x) - 1": (8, 11),
+    "abs(x)": (7, 13),
+    "log(x + 1)": (10, 13),
+    "1 - 2*x": (8, 8),
+    "x^2^3": (7, 12),
+    "2/x/2": (10, 18),
+    "-x^2": (8, 13),
+    "x * (x + 1) * (x - 1)": (10, 18),
+    "1/(x-1)": (10, 16),
+    "log(x-1)": (10, 13),
+    "(x-1)^0.5": (10, 21),
+    "(x-1)^-1": (10, 19),
+    "x^x": (9, 17),
+    "abs(x-1)": (8, 14),
+}
+
+
+def test_array_pass_table_covers_the_corpus():
+    assert set(FUNCTION_TEXTS + EXTRA_EXPRESSIONS) <= set(_ARRAY_PASSES)
+
+
+@pytest.mark.parametrize("text", list(_ARRAY_PASSES))
+def test_array_passes_per_evaluation_are_pinned(text):
+    f = parse_function(text, Interval(1.25, 3.0))
+    x = np.linspace(1.5, 2.5, 9)
+    counts = []
+    for evaluate in (f.value, f.eval_with_derivative):
+        _Counted.passes = 0
+        evaluate(x.view(_Counted))
+        counts.append(_Counted.passes)
+    assert tuple(counts) == _ARRAY_PASSES[text]
+
+
+# ---------------------------------------------------------------------------
 # evaluations return arrays the caller owns
 
 

@@ -128,6 +128,13 @@ def test_holder_exponents_reject_bad_pairs():
         HolderExponents(2.0, 3.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_holder_exponents_reject_a_non_finite_p(p):
+    # p = inf would give q = nan, and every bound built on it nan
+    with pytest.raises(ValueError, match="p must exceed 1 and be finite"):
+        HolderExponents(p)
+
+
 # ---------------------------------------------------------------------------
 # identity verification against numeric quadrature
 

@@ -104,6 +104,9 @@ def test_bound_constant_validation():
         bound_constant("P4", 1.2, 2.0)
     with pytest.raises(ValueError):
         bound_constant("P4", 1.0, 1.0)
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must exceed 1 and be finite"):
+            bound_constant("P5", 1.0, p)
 
 
 def test_bound_constant_is_exactly_the_kernel_closed_form():

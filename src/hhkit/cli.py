@@ -145,6 +145,11 @@ def _to_csv(records: list[ReportRecord]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+def _fixed(v: float) -> str:
+    # fixed point, but not every integer digit of a large value
+    return f"{v:.6f}" if abs(v) < 1e9 else f"{v:.6e}"
+
+
 def _text_line(r: ReportRecord) -> str:
     ins = r.inputs
     if r.kind == "certify":
@@ -159,7 +164,7 @@ def _text_line(r: ReportRecord) -> str:
             )
         return line
     if r.kind == "bound":
-        return f"{ins.get('theorem', '?')} bound, rhs={r.rhs:.6f}"
+        return f"{ins.get('theorem', '?')} bound, rhs={_fixed(r.rhs)}"
     if r.kind == "integrate":
         return (
             f"integrate {r.verdict}, value={r.lhs:.12g} n={ins.get('n', '?')}"
@@ -168,7 +173,8 @@ def _text_line(r: ReportRecord) -> str:
     if r.kind == "mean":
         return f"{ins['kind']}({ins['a']:g}, {ins['b']:g}) = {r.lhs:.12g}"
     label = ins.get("theorem") or ins.get("proposition") or ins.get("identity") or r.kind
-    return f"{label} {r.verdict}, lhs={r.lhs:.6f} rhs={r.rhs:.6f} margin={r.margin:.6f}"
+    lhs, rhs, margin = (_fixed(v) for v in (r.lhs, r.rhs, r.margin))
+    return f"{label} {r.verdict}, lhs={lhs} rhs={rhs} margin={margin}"
 
 
 def format_records(records: list[ReportRecord], fmt: str) -> str:
@@ -185,6 +191,15 @@ def format_records(records: list[ReportRecord], fmt: str) -> str:
 
 def _verdict(margin: float, tol: float = 0.0) -> str:
     return "holds" if margin >= -tol else "violated"
+
+
+def _inputs(f: FunctionSpec, interval: Interval, params=None, **rest) -> dict:
+    """A record's inputs: f and the interval, then s, alpha, m when params
+    are given, then rest in order."""
+    inputs = {"function": f.text, "a": interval.a, "b": interval.b}
+    if params is not None:
+        inputs.update(s=params.s, alpha=params.alpha, m=params.m)
+    return {**inputs, **rest}
 
 
 def _function_for(cmd: Command) -> FunctionSpec:
@@ -212,17 +227,9 @@ def _theorems(cmd: Command):
 
 def _certify_row(f, interval, params, grid, tol=convexity.DEFAULT_TOLERANCE):
     rep = convexity.certify(f, interval, params, grid, tol)
-    inputs = {
-        "function": f.text,
-        "a": interval.a,
-        "b": interval.b,
-        "s": params.s,
-        "alpha": params.alpha,
-        "m": params.m,
-        "sense": params.sense,
-        "grid": grid,
-        "samples": rep.samples_checked,
-    }
+    inputs = _inputs(
+        f, interval, params, sense=params.sense, grid=grid, samples=rep.samples_checked
+    )
     lhs = rhs = 0.0
     if rep.counterexample is not None:
         cex = rep.counterexample
@@ -239,33 +246,30 @@ def _cmd_bound(cmd: Command):
     f = _function_for(cmd)
     for tid, hp in _theorems(cmd):
         value = hhbounds.theorem_bound(tid, f, cmd.interval, cmd.params, hp)
-        inputs = {
-            "theorem": tid,
-            "function": f.text,
-            "a": cmd.interval.a,
-            "b": cmd.interval.b,
-            "s": cmd.params.s,
-            "alpha": cmd.params.alpha,
-            "m": cmd.params.m,
-        }
+        inputs = {"theorem": tid, **_inputs(f, cmd.interval, cmd.params)}
         if hp is not None:
             inputs["p"] = hp.p
         yield "bound", inputs, 0.0, value, value, "value"
 
 
-def _verify_verdict(rep: hhbounds.BoundReport) -> str:
+def _verify_row(tid, f, interval, params, hp, tol, grid):
+    rep = hhbounds.verify_theorem(tid, f, interval, params, hp, tol, grid)
+    # p follows the certification flag, and q = p / (p - 1) is left out
+    inputs = {k: v for k, v in rep.inputs.items() if k not in ("p", "q")}
+    inputs["hypothesis_certified"] = rep.hypothesis_certified
+    if hp is not None:
+        inputs["p"] = hp.p
     if not rep.hypothesis_certified:
-        return "hypothesis_falsified"
-    return "holds" if rep.holds else "violated"
+        verdict = "hypothesis_falsified"
+    else:
+        verdict = "holds" if rep.holds else "violated"
+    return "verify", inputs, rep.lhs_gap, rep.rhs_bound, rep.margin, verdict
 
 
 def _cmd_verify(cmd: Command):
     f = _function_for(cmd)
     for tid, hp in _theorems(cmd):
-        rep = hhbounds.verify_theorem(tid, f, cmd.interval, cmd.params, hp, cmd.tol, cmd.grid)
-        inputs = dict(rep.inputs)
-        inputs["hypothesis_certified"] = rep.hypothesis_certified
-        yield "verify", inputs, rep.lhs_gap, rep.rhs_bound, rep.margin, _verify_verdict(rep)
+        yield _verify_row(tid, f, cmd.interval, cmd.params, hp, cmd.tol, cmd.grid)
 
 
 def _cmd_integrate(cmd: Command):
@@ -277,17 +281,8 @@ def _cmd_integrate(cmd: Command):
         )
     uncertified = any(issubclass(w.category, UserWarning) for w in caught)
     bound = min(res.bound_p4, res.bound_p5)
-    inputs = {
-        "function": f.text,
-        "a": cmd.interval.a,
-        "b": cmd.interval.b,
-        "tol": cmd.tol,
-        "s": cmd.params.s,
-        "p": cmd.p,
-        "n": res.n,
-        "bound_p4": res.bound_p4,
-        "bound_p5": res.bound_p5,
-    }
+    inputs = _inputs(f, cmd.interval, tol=cmd.tol, s=cmd.params.s, p=cmd.p, n=res.n)
+    inputs.update(bound_p4=res.bound_p4, bound_p5=res.bound_p5)
     verdict = "hypothesis_falsified" if uncertified else "within_tol"
     yield "integrate", inputs, res.value, bound, cmd.tol - bound, verdict
 
@@ -382,14 +377,8 @@ def _suite_convexity_and_classical(grid_n: int):
             yield _certify_row(f, iv, classical, grid_n)
             midpoint, endpoint_avg, lower, upper = hhbounds.classical_hh_margins(f, iv)
             margin = min(lower, upper)
-            yield (
-                "classical",
-                {"function": f.text, "a": iv.a, "b": iv.b},
-                midpoint,
-                endpoint_avg,
-                margin,
-                _verdict(margin, _SUITE_MARGIN_TOL),
-            )
+            verdict = _verdict(margin, _SUITE_MARGIN_TOL)
+            yield "classical", _inputs(f, iv), midpoint, endpoint_avg, margin, verdict
 
 
 def _suite_theorems(grid_n: int):
@@ -398,22 +387,7 @@ def _suite_theorems(grid_n: int):
             for prm in corpus.PARAM_TRIPLES:
                 for tid in THEOREM_IDS:
                     for hp in hhbounds.holder_pairs(tid, corpus.HOLDER_PS):
-                        rep = hhbounds.verify_theorem(
-                            tid, f, iv, prm, hp, _SUITE_MARGIN_TOL, grid_n
-                        )
-                        # suite rows list p after the certification flag, without q
-                        inputs = {k: v for k, v in rep.inputs.items() if k not in ("p", "q")}
-                        inputs["hypothesis_certified"] = rep.hypothesis_certified
-                        if hp is not None:
-                            inputs["p"] = hp.p
-                        yield (
-                            "verify",
-                            inputs,
-                            rep.lhs_gap,
-                            rep.rhs_bound,
-                            rep.margin,
-                            _verify_verdict(rep),
-                        )
+                        yield _verify_row(tid, f, iv, prm, hp, _SUITE_MARGIN_TOL, grid_n)
 
 
 def _suite_lemma_identities():
@@ -425,7 +399,7 @@ def _suite_lemma_identities():
                 ("double", res.double_integral, res.double_residual),
             ):
                 allowed = _SUITE_LEMMA_TOL[form]
-                inputs = {"function": f.text, "a": iv.a, "b": iv.b, "form": form, "tol": allowed}
+                inputs = _inputs(f, iv, form=form, tol=allowed)
                 margin = allowed - residual
                 yield "lemma_identity", inputs, value, res.signed_gap, margin, _verdict(margin)
 
@@ -487,7 +461,7 @@ def _suite_quadrature():
                 for variant in quadrature.BOUND_VARIANTS:
                     bound = quadrature.trapezoid_error_bound(variant, f, part, 1.0, 2.0)
                     margin = bound - actual
-                    inputs = {"function": f.text, "a": iv.a, "b": iv.b, "n": n, "variant": variant}
+                    inputs = _inputs(f, iv, n=n, variant=variant)
                     yield (
                         "quadrature_bound",
                         inputs,
@@ -500,14 +474,7 @@ def _suite_quadrature():
             for tol in _SUITE_GUARANTEE_TOLS:
                 res = quadrature.integrate_with_guarantee(f, iv, tol)
                 err = abs(res.value - quadrature.reference_integrate(f, iv, tol / 100.0))
-                inputs = {
-                    "function": f.text,
-                    "a": iv.a,
-                    "b": iv.b,
-                    "tol": tol,
-                    "n": res.n,
-                    "value": res.value,
-                }
+                inputs = _inputs(f, iv, tol=tol, n=res.n, value=res.value)
                 verdict = "within_tol" if err <= tol else "exceeds_tol"
                 yield "quadrature_guarantee", inputs, err, tol, tol - err, verdict
 
@@ -626,7 +593,10 @@ def _resolve(args: argparse.Namespace) -> Command:
         if v is None:
             v = default
         if v is not None:
-            v = typ(v)
+            try:  # every source is converted from text, as argparse converts a flag
+                v = typ(str(v))
+            except ValueError:
+                raise ValueError(f"invalid {typ.__name__} value for {name}: {v!r}") from None
             if choices is not None and v not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {v!r}")
         values[name] = v

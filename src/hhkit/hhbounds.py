@@ -49,10 +49,15 @@ class BoundReport:
 
 
 @lru_cache(maxsize=256)
+def _averages(f: FunctionSpec, interval: Interval) -> tuple[float, float]:
+    """(endpoint average, integral average) of f over the interval."""
+    integral_avg = oracle_integral(f, interval) / interval.width
+    return (f(interval.a) + f(interval.b)) / 2.0, integral_avg
+
+
 def _signed_gap(f: FunctionSpec, interval: Interval) -> float:
-    integral = oracle_integral(f, interval)
-    endpoint_avg = (f(interval.a) + f(interval.b)) / 2.0
-    return endpoint_avg - integral / interval.width
+    endpoint_avg, integral_avg = _averages(f, interval)
+    return endpoint_avg - integral_avg
 
 
 def hh_gap(f: FunctionSpec, interval: Interval) -> float:
@@ -68,9 +73,8 @@ def classical_hh_margins(
     Returns (midpoint, endpoint_avg, integral_avg - midpoint,
     endpoint_avg - integral_avg); each slack is nonnegative for convex f.
     """
-    integral_avg = oracle_integral(f, interval) / interval.width
+    endpoint_avg, integral_avg = _averages(f, interval)
     midpoint = f((interval.a + interval.b) / 2.0)
-    endpoint_avg = (f(interval.a) + f(interval.b)) / 2.0
     return midpoint, endpoint_avg, integral_avg - midpoint, endpoint_avg - integral_avg
 
 
@@ -82,10 +86,16 @@ def classical_hh_check(
     return lower >= -tol, upper >= -tol
 
 
-def _require_hp(theorem_id: str, hp: Optional[HolderExponents]) -> HolderExponents:
+def _hypothesis_q(theorem_id: str, hp: Optional[HolderExponents]) -> Optional[float]:
+    """The exponent q of the theorem's hypothesis on |f'|^q, or None for T1
+    and T4, whose hypothesis is on |f'| itself."""
+    if theorem_id not in THEOREM_IDS:
+        raise ValueError(f"theorem_id must be one of {THEOREM_IDS}, got {theorem_id!r}")
+    if theorem_id in _PLAIN_IDS:
+        return None
     if hp is None:
         raise ValueError(f"{theorem_id} needs a HolderExponents pair")
-    return hp
+    return hp.q
 
 
 def _endpoint_derivatives(
@@ -106,21 +116,16 @@ def theorem_bound(
     hp: Optional[HolderExponents] = None,
 ) -> float:
     """Closed-form value of the named bound; hp is required for T2/T3/T5/T6."""
-    if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"theorem_id must be one of {THEOREM_IDS}, got {theorem_id!r}")
+    q = _hypothesis_q(theorem_id, hp)
     d1, d2 = _endpoint_derivatives(f, interval, params)
-    w = interval.width
-    c = params.alpha_s
-    m = params.m
+    w, c, m = interval.width, params.alpha_s, params.m
     kc = kernels.kernel_constants(c, m)
 
-    if theorem_id == "T1":
-        return w / 2.0 * (kc.v1 * d1 + kc.v2 * d2)
-    if theorem_id == "T4":
-        return w / 2.0 * (kc.u1 * d1 + kc.u2 * d2)
+    if q is None:
+        k1, k2 = (kc.v1, kc.v2) if theorem_id == "T1" else (kc.u1, kc.u2)
+        return w / 2.0 * (k1 * d1 + k2 * d2)
 
-    hp = _require_hp(theorem_id, hp)
-    p, q = hp.p, hp.q
+    p = hp.p
     try:
         d1q, d2q = d1**q, d2**q
     except OverflowError:
@@ -157,10 +162,7 @@ def hypothesis_function(
     |f'| for T1 and T4, |f'|^q for the Holder variants.  Built by composing
     the derivative evaluator pointwise, not by rewriting the expression tree.
     """
-    if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"theorem_id must be one of {THEOREM_IDS}, got {theorem_id!r}")
-    plain = theorem_id in _PLAIN_IDS
-    return derivative_power(f, None if plain else _require_hp(theorem_id, hp).q)
+    return derivative_power(f, _hypothesis_q(theorem_id, hp))
 
 
 @lru_cache(maxsize=256)
@@ -195,7 +197,7 @@ def verify_theorem(
     gap = hh_gap(f, interval)
     margin = bound - gap
 
-    q = None if theorem_id in _PLAIN_IDS else hp.q  # theorem_bound checked hp
+    q = _hypothesis_q(theorem_id, hp)
     hyp_params = ConvexityParams(params.s, params.alpha, params.m, "first")
     certified = _hypothesis_certified(f, q, interval, hyp_params, grid_n)
 

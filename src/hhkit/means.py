@@ -63,10 +63,6 @@ class MeanRequest:
                 raise ValueError("p = 0 is the identric mean; use kind='identric'")
 
 
-def _ordered(a: float, b: float) -> tuple[float, float]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _near_diagonal(lo: float, hi: float) -> bool:
     return hi - lo < _DIAGONAL_CUT * lo
 
@@ -84,49 +80,41 @@ def _harmonic(a: float, b: float) -> float:
 
 
 def _logarithmic(a: float, b: float) -> float:
-    lo, hi = _ordered(a, b)
-    if _near_diagonal(lo, hi):
-        return lo
-    r = (hi - lo) / lo
-    return lo * r / math.log1p(r)
+    return extended_p_logarithmic(a, b, -1.0)
 
 
 def _identric(a: float, b: float) -> float:
-    lo, hi = _ordered(a, b)
-    if _near_diagonal(lo, hi):
-        return lo
-    r = (hi - lo) / lo
-    return lo * math.exp((1.0 + r) * math.log1p(r) / r - 1.0)
+    return extended_p_logarithmic(a, b, 0.0)
 
 
 def extended_p_logarithmic(a: float, b: float, p: float) -> float:
     """The p-logarithmic mean including its limit members p = -1 and p = 0."""
-    if p == -1.0:
-        return _logarithmic(a, b)
-    if p == 0.0:
-        return _identric(a, b)
-    lo, hi = _ordered(a, b)
+    lo, hi = (a, b) if a <= b else (b, a)
     if _near_diagonal(lo, hi):
         return lo
     r = (hi - lo) / lo
+    if p == -1.0:
+        return lo * r / math.log1p(r)
+    if p == 0.0:
+        return lo * math.exp((1.0 + r) * math.log1p(r) / r - 1.0)
     core = math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)
     return lo * core ** (1.0 / p)
 
 
+_MEANS = {
+    "arithmetic": _arithmetic,
+    "geometric": _geometric,
+    "harmonic": _harmonic,
+    "logarithmic": _logarithmic,
+    "identric": _identric,
+}
+
+
 def mean(req: MeanRequest) -> float:
     """Evaluate the requested mean; a = b returns the common value for every kind."""
-    a, b = req.a, req.b
-    if req.kind == "arithmetic":
-        return _arithmetic(a, b)
-    if req.kind == "geometric":
-        return _geometric(a, b)
-    if req.kind == "harmonic":
-        return _harmonic(a, b)
-    if req.kind == "logarithmic":
-        return _logarithmic(a, b)
-    if req.kind == "identric":
-        return _identric(a, b)
-    return extended_p_logarithmic(a, b, req.p)
+    if req.kind == "p_logarithmic":
+        return extended_p_logarithmic(req.a, req.b, req.p)
+    return _MEANS[req.kind](req.a, req.b)
 
 
 def mean_chain_margins(a: float, b: float) -> tuple[float, ...]:

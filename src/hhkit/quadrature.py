@@ -28,7 +28,7 @@ import numpy as np
 
 from . import convexity
 from .expr import DomainError, FunctionSpec, Interval, NonConvergenceError, derivative_power
-from .kernels import kernel_constants
+from .kernels import HolderExponents, kernel_constants
 
 BOUND_VARIANTS = ("P4", "P5")
 
@@ -102,13 +102,11 @@ def bound_constant(variant: str, s: float, p: float) -> float:
         raise ValueError(f"variant must be one of {BOUND_VARIANTS}, got {variant!r}")
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"p must exceed 1 and be finite, got {p}")
-    q = p / (p - 1.0)
+    hp = HolderExponents(p)
     kc = kernel_constants(s)
     if variant == "P4":
-        return (1.0 / 2.0 ** (1.0 / p)) * kc.v1 ** (1.0 / q)
-    return (2.0 / 3.0) ** (1.0 / p) * (2.0 * kc.u1) ** (1.0 / q)
+        return (1.0 / 2.0 ** (1.0 / hp.p)) * kc.v1 ** (1.0 / hp.q)
+    return (2.0 / 3.0) ** (1.0 / hp.p) * (2.0 * kc.u1) ** (1.0 / hp.q)
 
 
 def _panel_sum(pts: np.ndarray, derivative) -> float:

@@ -115,6 +115,25 @@ def test_means_text_lines(capsys):
     assert "logarithmic(2, 8) = 4.32808512267" in out
 
 
+def test_means_text_lines_stay_short_at_huge_values(capsys):
+    # fixed point would spell out every integer digit of P3's rhs ~ 6.7e299
+    code, out, _ = run(capsys, "means", "--interval", "1:1e100")
+    assert code == 0
+    assert max(len(line) for line in out.splitlines()) <= 120
+    assert "P3 holds, lhs=1.666667e+199 rhs=6.666667e+299" in out
+
+
+def test_verify_json_rows_use_the_suite_layout(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--function", "exp(x)", "--interval", "0:1", "--format", "json"
+    )
+    assert code == 0
+    keys = ["theorem", "function", "a", "b", "s", "alpha", "m", "sense", "hypothesis_certified"]
+    for rec in json.loads(out):
+        plain = rec["inputs"]["theorem"] in ("T1", "T4")
+        assert list(rec["inputs"]) == keys + ([] if plain else ["p"])
+
+
 def test_verify_all_theorems_when_none_given(capsys):
     code, out, _ = run(
         capsys, "verify", "--function", "exp(x)", "--interval", "0:1", "--format", "csv"
@@ -211,6 +230,20 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, typ", [("grid", 2.7, "int"), ("n", 2.5, "int"), ("tol", True, "float")]
+)
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, key, value, typ):
+    # converted from text as a flag is: int("2.7") and float("True") both fail
+    cfg = tmp_path / "hhkit.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(
+        capsys, "certify", "--function", "x^2", "--interval", "0:1", "--config", str(cfg)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid {typ} value for {key}: {value!r}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hhkit import convexity
+from hhkit import convexity, quadrature
 from hhkit.convexity import ConvexityParams
 from hhkit.corpus import DOMAIN, INTERVALS, corpus_functions
 from hhkit.expr import Interval, parse_function
@@ -265,3 +265,47 @@ def test_lemma_residuals_tiny_on_exp():
     assert res.single_residual <= 1e-10
     assert res.double_residual <= 1e-10
     assert math.isclose(res.signed_gap, (3.0 - math.e) / 2.0, abs_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one rule per bound-layer fact
+
+
+def _old_signed_gap(f, iv):
+    integral = quadrature.oracle_integral(f, iv)
+    ends = (f(iv.a) + f(iv.b)) / 2.0
+    return ends - integral / iv.width
+
+
+def _old_classical_margins(f, iv):
+    integral_avg = quadrature.oracle_integral(f, iv) / iv.width
+    midpoint = f((iv.a + iv.b) / 2.0)
+    ends = (f(iv.a) + f(iv.b)) / 2.0
+    return midpoint, ends, integral_avg - midpoint, ends - integral_avg
+
+
+def test_gap_and_classical_margins_keep_their_bits_on_the_corpus():
+    pairs = [(f, iv) for f in corpus_functions() for iv in INTERVALS]
+    assert len(pairs) == 15
+    for f, iv in pairs:
+        assert hh_gap(f, iv) == abs(_old_signed_gap(f, iv)), (f.text, iv)
+        assert classical_hh_margins(f, iv) == _old_classical_margins(f, iv), (f.text, iv)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("theorem_id", ["T7", "T2", "T6"])
+def test_theorem_rule_errors_agree_across_entry_points(theorem_id):
+    # an unknown id, and a Holder theorem without its exponent pair
+    f = parse_function("exp(x)", UNIT)
+    errors = {
+        _raised(theorem_bound, theorem_id, f, UNIT, CLASSIC),
+        _raised(hypothesis_function, theorem_id, f),
+        _raised(verify_theorem, theorem_id, f, UNIT, CLASSIC),
+    }
+    assert len(errors) == 1, errors
+    assert errors.pop()[0] is ValueError

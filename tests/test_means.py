@@ -242,3 +242,54 @@ def test_proposition_validation():
         proposition_check("P3", 1.0, 2.0, hp, n=1)
     with pytest.raises(ValueError):
         proposition_check("P3", 1.0, 2.0, hp, n=2.5)
+
+
+# ---------------------------------------------------------------------------
+# the logarithmic family is written once: it equals its earlier three-function
+# form bit for bit
+
+
+def _old_logarithmic(a, b):
+    lo, hi = (a, b) if a <= b else (b, a)
+    if hi - lo < 1e-12 * lo:
+        return lo
+    r = (hi - lo) / lo
+    return lo * r / math.log1p(r)
+
+
+def _old_identric(a, b):
+    lo, hi = (a, b) if a <= b else (b, a)
+    if hi - lo < 1e-12 * lo:
+        return lo
+    r = (hi - lo) / lo
+    return lo * math.exp((1.0 + r) * math.log1p(r) / r - 1.0)
+
+
+def _old_extended(a, b, p):
+    if p == -1.0:
+        return _old_logarithmic(a, b)
+    if p == 0.0:
+        return _old_identric(a, b)
+    lo, hi = (a, b) if a <= b else (b, a)
+    if hi - lo < 1e-12 * lo:
+        return lo
+    r = (hi - lo) / lo
+    core = math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)
+    return lo * core ** (1.0 / p)
+
+
+def _family_pairs():
+    bases = (1e-3, 0.5, 1.0, 2.0, 7.3, 1e3)
+    pairs = [(a, b) for a in bases for b in bases if a != b]  # both orders
+    for a in bases:
+        for rel in (0.3e-12, 0.9e-12, 1.1e-12, 3e-12, 1e-9):  # both sides of the cut
+            pairs += [(a, a * (1.0 + rel)), (a * (1.0 + rel), a)]
+    return pairs
+
+
+def test_logarithmic_family_matches_its_three_function_form():
+    for a, b in _family_pairs():
+        assert _mean("logarithmic", a, b) == _old_logarithmic(a, b), (a, b)
+        assert _mean("identric", a, b) == _old_identric(a, b), (a, b)
+        for p in (-3.0, -1.0, -0.5, 0.0, 0.5, 2.0):
+            assert extended_p_logarithmic(a, b, p) == _old_extended(a, b, p), (a, b, p)

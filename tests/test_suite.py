@@ -43,7 +43,7 @@ def _counted(fn, counts, key):
 @pytest.fixture(scope="module")
 def suite():
     quadrature.oracle_integral.cache_clear()
-    hhbounds._signed_gap.cache_clear()
+    hhbounds._averages.cache_clear()
     hhbounds._hypothesis_certified.cache_clear()
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:

@@ -85,16 +85,6 @@ class QuadratureResult:
     certified_tolerance: float
 
 
-def _trapezoid(pts: np.ndarray, vals) -> float:
-    vals = np.asarray(vals, dtype=float)
-    return float(np.sum(np.diff(pts) * (vals[:-1] + vals[1:]) / 2.0))
-
-
-def trapezoid_sum(f, partition: Partition) -> float:
-    """Composite trapezoid value of f over the partition."""
-    return _trapezoid(partition.points, f(partition.points))
-
-
 def bound_constant(variant: str, s: float, p: float) -> float:
     """Partition-independent constant in front of the panel sum."""
     variant = str(variant).upper()
@@ -109,17 +99,73 @@ def bound_constant(variant: str, s: float, p: float) -> float:
     return (2.0 / 3.0) ** (1.0 / hp.p) * (2.0 * kc.u1) ** (1.0 / hp.q)
 
 
-def _panel_sum(pts: np.ndarray, derivative) -> float:
+# ---------------------------------------------------------------------------
+# blocked panel sums
+#
+# np.sum adds float64 terms pairwise: a run of m > 128 terms is split at
+# m2 = m // 2 rounded down to a multiple of 8, and the two halves' sums are
+# added.  _blocked_sums makes the same splits down to runs of at most
+# convexity.BLOCK_POINTS (>= 128) panels and sums each run with np.sum, so its
+# result is bitwise the one np.sum over all n panels while only one run's
+# arrays, which fit in cache, are alive at a time.  A run's terms come from
+# its own points, so f is evaluated on slices of the grid, and the point two
+# neighbouring runs share is evaluated once for each.
+
+
+def _blocked_sums(n: int, terms) -> list[float]:
+    """Sums over panels 0..n-1 of the per-panel term arrays that terms(lo, hi)
+    returns for panels lo..hi-1, runs visited left to right."""
+
+    def walk(lo: int, hi: int) -> list:
+        m = hi - lo
+        if m <= convexity.BLOCK_POINTS:
+            return [np.sum(t) for t in terms(lo, hi)]
+        m2 = m // 2
+        m2 -= m2 % 8
+        return [x + y for x, y in zip(walk(lo, lo + m2), walk(lo + m2, hi))]
+
+    return [float(total) for total in walk(0, n)]
+
+
+def _trapezoid_terms(pts: np.ndarray, vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    return np.diff(pts) * (vals[:-1] + vals[1:]) / 2.0
+
+
+def _panel_terms(pts: np.ndarray, derivative) -> np.ndarray:
     d = np.abs(np.asarray(derivative, dtype=float))
-    return float(np.sum(np.diff(pts) ** 2 / 2.0 * (d[:-1] + d[1:])))
+    return np.diff(pts) ** 2 / 2.0 * (d[:-1] + d[1:])
+
+
+def _partition_sum(partition: Partition, terms) -> float:
+    """Blocked sum of the term arrays terms(pts) gives on slices of the points."""
+    return _blocked_sums(partition.n, lambda lo, hi: (terms(partition.points[lo : hi + 1]),))[0]
+
+
+def trapezoid_sum(f, partition: Partition) -> float:
+    """Composite trapezoid value of f over the partition.
+
+    f is called on consecutive slices of the points, at most
+    convexity.BLOCK_POINTS + 1 at a time, neighbouring slices sharing an
+    endpoint, so it must act pointwise on a 1-D array.  Slices are taken
+    left to right: if f fails at points of two slices, the error raised is
+    the leftmost slice's, not necessarily the first that a call on all the
+    points would raise.
+    """
+    return _partition_sum(partition, lambda pts: _trapezoid_terms(pts, f(pts)))
 
 
 def trapezoid_error_bound(
     variant: str, f, partition: Partition, s: float = 1.0, p: float = 2.0
 ) -> float:
-    """A-priori bound on |integral - trapezoid_sum| for the given variant."""
-    pts = partition.points
-    return bound_constant(variant, s, p) * _panel_sum(pts, f.derivative(pts))
+    """A-priori bound on |integral - trapezoid_sum| for the given variant.
+
+    f.derivative is called on consecutive slices of the points, as f is by
+    trapezoid_sum, so it must act pointwise, and of errors in two slices
+    the leftmost slice's is raised.
+    """
+    panel = _partition_sum(partition, lambda pts: _panel_terms(pts, f.derivative(pts)))
+    return bound_constant(variant, s, p) * panel
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +299,33 @@ PREDICT_PANELS = 1024  # the prediction pass samples |f'| on 2 * PREDICT_PANELS 
 ROUNDING_SLACK = 1e-12
 
 
+def _uniform_points(interval: Interval, n: int, lo: int, hi: int) -> np.ndarray:
+    """Points lo..hi of np.linspace(interval.a, interval.b, n + 1), bit for bit."""
+    a, b = float(interval.a), float(interval.b)
+    pts = np.arange(lo, hi + 1, dtype=float)
+    step = (b - a) / n
+    if step == 0.0:  # a subnormal width, which linspace scales after dividing
+        pts /= n
+        pts *= b - a
+    else:
+        pts *= step
+    pts += a
+    if hi == n:
+        pts[-1] = b
+    return pts
+
+
 def _uniform_pass(f, interval: Interval, n: int, constants) -> tuple[float, float, float]:
     """(trapezoid value, P4 bound, P5 bound) on n uniform panels, from one
-    evaluation of f and f' on the n + 1 points."""
-    pts = np.linspace(interval.a, interval.b, n + 1)
-    fd = f.eval_with_derivative(pts)
-    panel = _panel_sum(pts, fd.derivative)
-    return _trapezoid(pts, fd.value), constants[0] * panel, constants[1] * panel
+    evaluation of f and f' on the n + 1 points, made block by block."""
+
+    def terms(lo: int, hi: int):
+        pts = _uniform_points(interval, n, lo, hi)
+        fd = f.eval_with_derivative(pts)
+        return _trapezoid_terms(pts, fd.value), _panel_terms(pts, fd.derivative)
+
+    value, panel = _blocked_sums(n, terms)
+    return value, constants[0] * panel, constants[1] * panel
 
 
 def _predict_n(f, interval: Interval, tol: float, c: float) -> tuple[float, float]:
@@ -298,16 +364,17 @@ def integrate_with_guarantee(
     knows by 1, 2, 4, ... panels and bisects once both sides are known, the
     lower side being known from the start when the lower bound exists.  An
     accurate prediction needs one or two full passes, a poor one O(log n),
-    and no pass is repeated.  A pass evaluates f and f' together, once, so the
-    result reuses the confirming pass for its value as for its bounds.  The
-    returned n is the smallest with B(n) <= tol, given that B is nonincreasing
-    in n.  If f' is undefined at a point of the prediction grid (a kink), the
-    search starts from n0 = 1.
+    and no pass is repeated.  A pass evaluates f and f' together, once, in
+    blocks of at most convexity.BLOCK_POINTS panels, so its memory does not
+    grow with n; the result reuses the confirming pass for its value as for
+    its bounds.  The returned n is the smallest with B(n) <= tol, given that
+    B is nonincreasing in n.  If f' is undefined at a point of the prediction
+    grid (a kink), the search starts from n0 = 1.
 
     NonConvergenceError is raised when that n exceeds n_cap, and only then.
-    A request whose lower bound exceeds n_cap is refused before any full-size
-    array is allocated; otherwise a prediction past n_cap is settled by
-    evaluating B(n_cap).
+    A request whose lower bound exceeds n_cap is refused before any full
+    pass; otherwise a prediction past n_cap is settled by evaluating
+    B(n_cap).
 
     The |f'| hypothesis behind the bounds is checked by convexity.certify with
     parameters (s, 1, 1, first) on a CERTIFY_GRID_N lattice; a falsified

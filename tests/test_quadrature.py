@@ -1,19 +1,27 @@
 """Trapezoid sums, a-priori error bounds, guaranteed integration, and the oracle."""
 
 import math
+import random
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hhkit import quadrature
+from hhkit import convexity, quadrature
 from hhkit.convexity import ConvexityParams, certify
 from hhkit.corpus import DOMAIN, INTERVALS, corpus_functions
-from hhkit.expr import DomainError, FunctionSpec, Interval, parse_function
+from hhkit.expr import (
+    DerivativeUndefinedError,
+    DomainError,
+    FunctionSpec,
+    Interval,
+    parse_function,
+)
 from hhkit.hhbounds import hh_gap
 from hhkit.kernels import gauss_legendre_01, kernel_constants
 from hhkit.quadrature import (
+    BOUND_VARIANTS,
     N_CAP,
     NonConvergenceError,
     Partition,
@@ -63,6 +71,138 @@ def test_trapezoid_sum_examples():
     assert trapezoid_sum(fx, Partition.uniform(UNIT, 1)) == 0.5
     assert trapezoid_sum(fsq, Partition.uniform(UNIT, 2)) == 0.375
     assert trapezoid_sum(fsq, Partition.uniform(UNIT, 1)) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# blocked sums, against the whole-array code they replaced
+#
+# The whole-array sums below are what trapezoid_sum, trapezoid_error_bound
+# and _uniform_pass computed before they summed in blocks; the blocked sums
+# must give the same bits.
+
+
+def _whole_trapezoid(pts, vals):
+    vals = np.asarray(vals, dtype=float)
+    return float(np.sum(np.diff(pts) * (vals[:-1] + vals[1:]) / 2.0))
+
+
+def _whole_panel_sum(pts, derivative):
+    d = np.abs(np.asarray(derivative, dtype=float))
+    return float(np.sum(np.diff(pts) ** 2 / 2.0 * (d[:-1] + d[1:])))
+
+
+def _whole_uniform_pass(f, interval, n, constants):
+    pts = np.linspace(interval.a, interval.b, n + 1)
+    fd = f.eval_with_derivative(pts)
+    panel = _whole_panel_sum(pts, fd.derivative)
+    return _whole_trapezoid(pts, fd.value), constants[0] * panel, constants[1] * panel
+
+
+def _assert_blocked_is_whole(f, iv, n, rng):
+    consts = _constants()
+    assert _uniform_pass(f, iv, n, consts) == _whole_uniform_pass(f, iv, n, consts), (n, iv)
+    inner = np.unique(np.random.default_rng(rng.getrandbits(32)).uniform(iv.a, iv.b, n - 1))
+    uneven = np.concatenate(([iv.a], inner[(inner > iv.a) & (inner < iv.b)], [iv.b]))
+    for pts in (np.linspace(iv.a, iv.b, n + 1), uneven):
+        part = Partition(pts)
+        assert trapezoid_sum(f, part) == _whole_trapezoid(pts, f(pts)), (pts.size, iv)
+        panel = _whole_panel_sum(pts, f.derivative(pts))
+        for variant, c in zip(BOUND_VARIANTS, consts):
+            assert trapezoid_error_bound(variant, f, part) == c * panel, (pts.size, iv)
+
+
+def test_blocked_sums_are_bitwise_the_whole_array_sums():
+    rng = random.Random(15)
+    block = convexity.BLOCK_POINTS
+    edges = [1, 7, 8, 9, block - 1, block, block + 1, 2 * block + 8]
+    drawn = [round(math.exp(rng.uniform(0.0, math.log(3e6)))) for _ in range(50)]
+    assert max(drawn) > 1e6
+    for k, n in enumerate(edges + drawn):
+        a = rng.uniform(-2.0, 1.0)
+        iv = Interval(a, a + rng.uniform(0.01, 3.0))
+        f = parse_function(("exp(2*x) - 3*x*x*x", "x*log(x+3)")[k % 2], iv)
+        _assert_blocked_is_whole(f, iv, n, rng)
+
+
+@pytest.mark.parametrize("block", [128, 129, 1000])
+def test_blocked_sums_follow_numpy_splits_at_any_block_from_128(monkeypatch, block):
+    # small blocks make deep trees from small n; below 128 numpy no longer splits
+    monkeypatch.setattr(convexity, "BLOCK_POINTS", block)
+    rng = random.Random(block)
+    f = parse_function("exp(2*x) - 3*x*x*x", DOMAIN)
+    for n in [block - 1, block, block + 1, 2 * block + 8, 17 * block + 3, 50_000]:
+        _assert_blocked_is_whole(f, DOMAIN, n, rng)
+
+
+def test_uniform_points_are_bitwise_linspace_in_every_block():
+    # a subnormal width takes linspace's divide-first branch
+    for iv, n in ((Interval(-1.3, 2.7), 100_003), (Interval(0.0, 5e-323), 4)):
+        whole = np.linspace(iv.a, iv.b, n + 1)
+        for lo, hi in ((0, n), (0, 1), (n - 1, n), (n // 3, 2 * n // 3)):
+            assert np.array_equal(quadrature._uniform_points(iv, n, lo, hi), whole[lo : hi + 1])
+
+
+def test_a_fault_in_a_later_block_raises_as_the_whole_grid_does():
+    # n = 3 * 2^15 puts a node at exactly 2.5, past the first block, where the
+    # derivative of abs(x-2.5) is undefined; log(x) is defined only up to 2
+    iv = Interval(0.0, 3.0)
+    n = 3 * 2**15
+    pts = np.linspace(iv.a, iv.b, n + 1)
+    assert 2.5 in pts and 2.5 not in pts[: convexity.BLOCK_POINTS + 1]
+    kink = parse_function("abs(x-2.5)", iv)
+    off_domain = parse_function("log(x)", Interval(0.5, 2.0))
+    consts = _constants()
+    part = Partition(pts)
+    short = Partition(np.linspace(0.5, 3.0, n + 1))
+    assert short.points[convexity.BLOCK_POINTS] < 2.0 < short.b
+    cases = [
+        (
+            lambda: _uniform_pass(kink, iv, n, consts),
+            lambda: _whole_uniform_pass(kink, iv, n, consts),
+        ),
+        (
+            lambda: trapezoid_error_bound("P4", kink, part),
+            lambda: _whole_panel_sum(pts, kink.derivative(pts)),
+        ),
+        (
+            lambda: trapezoid_sum(off_domain, short),
+            lambda: _whole_trapezoid(short.points, off_domain(short.points)),
+        ),
+    ]
+    for blocked, whole in cases:
+        with pytest.raises(DomainError) as expected:
+            whole()
+        with pytest.raises(DomainError) as got:
+            blocked()
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+
+def test_of_faults_in_two_blocks_the_leftmost_is_raised(monkeypatch):
+    # a whole-grid call meets the left operand's fault first (abs's kink or
+    # the log at 2.5); the blocks meet the pole at 0.5, in the first block, first
+    iv = Interval(0.0, 3.0)
+    n = 3 * 2**15
+    pts = np.linspace(iv.a, iv.b, n + 1)
+    assert pts[n // 6] == 0.5 and pts[5 * n // 6] == 2.5
+    assert n // 6 <= convexity.BLOCK_POINTS // 2 and 5 * n // 6 > convexity.BLOCK_POINTS
+    with monkeypatch.context() as m:  # the construction-time check would meet the faults
+        m.setattr(FunctionSpec, "__post_init__", lambda self: None)
+        kinked = parse_function("abs(x-2.5) + 1/(x-0.5)", iv)
+        logged = parse_function("log(2.5-x) + 1/(x-0.5)", iv)
+    with pytest.raises(DerivativeUndefinedError):
+        _whole_panel_sum(pts, kinked.derivative(pts))
+    with pytest.raises(DomainError, match="log argument must be positive"):
+        _whole_trapezoid(pts, logged(pts))
+    part = Partition(pts)
+    for blocked in (
+        lambda: _uniform_pass(kinked, iv, n, _constants()),
+        lambda: trapezoid_error_bound("P4", kinked, part),
+        lambda: trapezoid_sum(logged, part),
+    ):
+        with pytest.raises(DomainError, match="division by zero") as got:
+            blocked()
+        assert type(got.value) is DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +419,11 @@ def bound_calls(monkeypatch):
 
 
 def test_guarantee_evaluates_each_grid_once_with_its_derivative(monkeypatch, bound_calls):
-    # one eval_with_derivative call per full grid gives the value and both
-    # bounds; no FunctionSpec.value pass evaluates f a second time
-    value_calls, shapes = [], []
+    # one eval_with_derivative pass per full grid gives the value and both
+    # bounds; no FunctionSpec.value pass evaluates f a second time.  A pass
+    # past BLOCK_POINTS panels calls it on blocks of at most BLOCK_POINTS + 1
+    # points that tile the grid, neighbours sharing one endpoint.
+    value_calls, xs, spans = [], [], []  # spans: (n, first call, end call) per pass
     value, dual = FunctionSpec.value, FunctionSpec.eval_with_derivative
     counted = lambda self, x: value_calls.append(x) or value(self, x)  # noqa: E731
     monkeypatch.setattr(FunctionSpec, "value", counted)
@@ -289,18 +431,47 @@ def test_guarantee_evaluates_each_grid_once_with_its_derivative(monkeypatch, bou
     monkeypatch.setattr(
         FunctionSpec,
         "eval_with_derivative",
-        lambda self, x: shapes.append(np.shape(x)) or dual(self, x),
+        lambda self, x: xs.append(np.array(x)) or dual(self, x),
     )
+    counted_pass = quadrature._uniform_pass  # bound_calls' recorder
+
+    def spanned_pass(*args):
+        start = len(xs)
+        try:
+            return counted_pass(*args)
+        finally:
+            spans.append((args[2], start, len(xs)))
+
+    monkeypatch.setattr(quadrature, "_uniform_pass", spanned_pass)
     f = parse_function("exp(2*x)", DOMAIN)
     iv = Interval(0.0, 2.0)
-    result = integrate_with_guarantee(f, iv, 1e-2)
-    assert result.n == 3790
-    assert value_calls == []
+    block = convexity.BLOCK_POINTS
     predict_size = 2 * quadrature.PREDICT_PANELS + 1
-    full = [shape[0] for shape in shapes if len(shape) == 1 and shape[0] > predict_size]
-    assert full == [n + 1 for n in bound_calls] and 3790 in bound_calls
-    assert result.value == trapezoid_sum(f, Partition.uniform(iv, result.n))
-    assert len(value_calls) == 1  # the counter does see a value pass
+    for tol, expected in ((1e-2, 3790), (1e-4, 378997)):
+        for seen in (value_calls, xs, spans, bound_calls):
+            seen.clear()
+        result = integrate_with_guarantee(f, iv, tol)
+        assert result.n == expected
+        assert value_calls == []
+        assert [n for n, _, _ in spans] == bound_calls and expected in bound_calls
+        in_pass, blocks = set(), {}
+        for n, start, stop in spans:
+            calls = xs[start:stop]
+            in_pass.update(range(start, stop))
+            blocks[n] = len(calls)
+            assert all(x.ndim == 1 and x.size <= block + 1 for x in calls), n
+            assert (len(calls) == 1) == (n <= block), n
+            assert all(left[-1] == right[0] for left, right in zip(calls, calls[1:])), n
+            tiled = np.concatenate([calls[0]] + [x[1:] for x in calls[1:]])
+            assert np.array_equal(tiled, np.linspace(iv.a, iv.b, n + 1)), n
+        # no full-size call outside a pass: f' is not evaluated on a grid twice
+        outside = [x for k, x in enumerate(xs) if k not in in_pass]
+        assert [x.size for x in outside if x.ndim == 1 and x.size > predict_size] == []
+        assert result.value == trapezoid_sum(f, Partition.uniform(iv, result.n))
+        # the counter does see a value pass, made in the same blocks
+        assert len(value_calls) == blocks[result.n]
+        value_calls.clear()
+    assert blocks[result.n] > 10
 
 
 @pytest.mark.parametrize("keep_lower", [True, False])

@@ -28,16 +28,14 @@ from typing import Optional
 import numpy as np
 
 from . import convexity, corpus, hhbounds, kernels, means, quadrature
-from .convexity import ConvexityParams
+from .convexity import DEFAULT_GRID_N, ConvexityParams
 from .expr import DomainError, FunctionSpec, Interval, ParseError, parse_function
 from .hhbounds import THEOREM_IDS
 from .kernels import HolderExponents
 from .quadrature import NonConvergenceError, Partition
 
-SUBCOMMANDS = ("certify", "bound", "verify", "integrate", "means", "suite")
 FORMATS = ("json", "csv", "text")
 DEFAULT_TOL = 1e-6
-DEFAULT_GRID = 50
 
 ENV_TOL = "HHKIT_TOL"
 
@@ -338,7 +336,7 @@ def _proposition_row(rep: hhbounds.BoundReport):
 # the corpus suite
 
 
-def run_suite(grid_n: int = DEFAULT_GRID, seed: int = 0) -> list[ReportRecord]:
+def run_suite(grid_n: int = DEFAULT_GRID_N, seed: int = 0) -> list[ReportRecord]:
     """One ReportRecord per corpus check, in a fixed canonical order."""
     return _records(
         itertools.chain(
@@ -487,6 +485,8 @@ _DISPATCH = {
     "means": _cmd_means,
 }
 
+SUBCOMMANDS = (*_DISPATCH, "suite")
+
 
 def dispatch(cmd: Command) -> tuple[int, list[ReportRecord]]:
     if cmd.subcommand == "suite":
@@ -512,7 +512,7 @@ _FLAGS = {
     "p": (float, None, 2.0, "Holder exponent p > 1"),
     "theorem": (str, THEOREM_IDS, None, None),
     "tol": (float, None, DEFAULT_TOL, f"tolerance (default {DEFAULT_TOL:g})"),
-    "grid": (int, None, DEFAULT_GRID, f"lattice size (default {DEFAULT_GRID})"),
+    "grid": (int, None, DEFAULT_GRID_N, f"lattice size (default {DEFAULT_GRID_N})"),
     "format": (str, FORMATS, "text", None),
     "seed": (int, None, 0, "rng seed for sampled checks"),
     "n": (int, None, 2, "power-mean order for the P3 check"),

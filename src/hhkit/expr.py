@@ -11,18 +11,17 @@ The grammar (one free variable ``x``, functions exp/log/abs):
 Note that per this grammar a leading unary minus is part of a power's base:
 ``-x^2`` parses as ``(-x)^2``.  Write ``-(x^2)`` for the other reading.
 
-Evaluation accepts floats or numpy arrays and is deterministic: repeated
-evaluation at the same input is bit-identical.  Each node has one ``evaluate``
-for plain and dual inputs, and writes each domain check once, on the operand's
-value; ``DualValue`` carries only + - * / and negation.  In forward mode a
-constant carries the scalar derivative 0.0 and the seed x the scalar 1.0, for
-arrays too, so a product-rule term a constant zeroes is skipped rather than
-computed as an array.  ``value`` and ``eval_with_derivative`` return arrays
-the caller owns: never x, never shared with each other or with a later call.
+Each node class declares its syntax and value rule once: an operator its
+``symbol``, binding ``level`` and ``fn``, a function its ``name``, ``fn`` and
+derivative ``rule``.  The parser's tables, the printer's parentheses and one
+``evaluate`` per node family read them, for floats, arrays and ``DualValue``
+seeds alike, and repeated evaluation is bit-identical.  ``value`` and
+``eval_with_derivative`` return arrays the caller owns.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -138,18 +137,6 @@ def _unary(v, fn, rule, *args):
     return DualValue(out, rule(v.value, v.derivative, out, *args))
 
 
-def _log(u):
-    if np.any(u <= 0.0):
-        raise DomainError("log argument must be positive")
-    return np.log(u)
-
-
-def _abs_rule(u, d, out):
-    if np.any(u == 0.0):
-        raise DerivativeUndefinedError("derivative of abs is undefined at 0")
-    return np.sign(u) * d
-
-
 def _pow_plain(base: Scalar, c: float) -> Scalar:
     if not float(c).is_integer() and np.any(base < 0.0):
         raise DomainError(f"negative base with non-integer exponent {c}")
@@ -171,11 +158,20 @@ def _pow_rule(u, d, out, c: float):
 # ---------------------------------------------------------------------------
 # expression nodes
 
+# binding levels, loosest first: an operand that binds looser than its place
+# in the text needs parentheses
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+
 
 class ExprNode:
-    """Immutable expression-tree node."""
+    """Immutable expression-tree node; every subclass is a frozen dataclass of its
+    annotated fields, binding at ``level`` in printed text."""
 
     __slots__ = ()
+    level = _LEVEL_ATOM
+
+    def __init_subclass__(cls):
+        dataclass(frozen=True)(cls)
 
     def evaluate(self, x):
         raise NotImplementedError
@@ -184,7 +180,6 @@ class ExprNode:
         return format_expression(self)
 
 
-@dataclass(frozen=True)
 class Constant(ExprNode):
     value: Real
 
@@ -194,75 +189,73 @@ class Constant(ExprNode):
         return self.value
 
 
-@dataclass(frozen=True)
 class Variable(ExprNode):
     def evaluate(self, x):
         return x
 
 
-@dataclass(frozen=True)
 class Neg(ExprNode):
     operand: ExprNode
+    level = _LEVEL_NEG
 
     def evaluate(self, x):
         return -self.operand.evaluate(x)
 
 
-@dataclass(frozen=True)
-class Add(ExprNode):
+class _Binary(ExprNode):
+    """A left-associative infix operator: ``symbol`` in text, binding at ``level``,
+    with value ``fn(left, right)`` on plain and dual values alike."""
+
     left: ExprNode
     right: ExprNode
 
     def evaluate(self, x):
-        return self.left.evaluate(x) + self.right.evaluate(x)
+        return self.fn(self.left.evaluate(x), self.right.evaluate(x))
 
 
-@dataclass(frozen=True)
-class Sub(ExprNode):
-    left: ExprNode
-    right: ExprNode
-
-    def evaluate(self, x):
-        return self.left.evaluate(x) - self.right.evaluate(x)
+class Add(_Binary):
+    symbol = "+"
+    level = _LEVEL_ADD
+    fn = staticmethod(operator.add)
 
 
-@dataclass(frozen=True)
-class Mul(ExprNode):
-    left: ExprNode
-    right: ExprNode
-
-    def evaluate(self, x):
-        return self.left.evaluate(x) * self.right.evaluate(x)
+class Sub(_Binary):
+    symbol = "-"
+    level = _LEVEL_ADD
+    fn = staticmethod(operator.sub)
 
 
-@dataclass(frozen=True)
-class Div(ExprNode):
-    left: ExprNode
-    right: ExprNode
+class Mul(_Binary):
+    symbol = "*"
+    level = _LEVEL_MUL
+    fn = staticmethod(operator.mul)
 
-    def evaluate(self, x):
-        num = self.left.evaluate(x)
-        den = self.right.evaluate(x)
+
+class Div(_Binary):
+    symbol = "/"
+    level = _LEVEL_MUL
+
+    @staticmethod
+    def fn(num, den):
         if np.any(_value_of(den) == 0.0):
             raise DomainError("division by zero")
         return num / den
 
 
-@dataclass(frozen=True)
 class Pow(ExprNode):
     base: ExprNode
     exponent: ExprNode
+    level = _LEVEL_POW
 
     def evaluate(self, x):
         b = self.base.evaluate(x)
-        expo = self.exponent
-        if isinstance(expo, Constant):
-            return _unary(b, _pow_plain, _pow_rule, expo.value)
-        if not _depends_on_x(expo):
+        if isinstance(self.exponent, Constant):
+            return _unary(b, _pow_plain, _pow_rule, self.exponent.value)
+        if not _depends_on_x(self.exponent):
             # e.g. x^2^3: the exponent folds to a number, so the constant-power
             # rules (integer powers at any base) apply
-            return _unary(b, _pow_plain, _pow_rule, float(expo.evaluate(0.0)))
-        w = expo.evaluate(x)
+            return _unary(b, _pow_plain, _pow_rule, float(self.exponent.evaluate(0.0)))
+        w = self.exponent.evaluate(x)
         u = _value_of(b)
         # non-constant exponent: restrict to positive base so u^w = exp(w log u) is well defined
         if np.any(u <= 0.0):
@@ -273,28 +266,42 @@ class Pow(ExprNode):
         return DualValue(val, val * (w.derivative * np.log(u) + w.value * b.derivative / u))
 
 
-@dataclass(frozen=True)
-class Exp(ExprNode):
+class _Function(ExprNode):
+    """A one-argument function: ``name(operand)`` in text, with value ``fn(u)``
+    and, on a dual (u, d), derivative ``rule(u, d, fn(u))``."""
+
     operand: ExprNode
 
     def evaluate(self, x):
-        return _unary(self.operand.evaluate(x), np.exp, lambda u, d, e: e * d)
+        return _unary(self.operand.evaluate(x), self.fn, self.rule)
 
 
-@dataclass(frozen=True)
-class Log(ExprNode):
-    operand: ExprNode
-
-    def evaluate(self, x):
-        return _unary(self.operand.evaluate(x), _log, lambda u, d, out: d / u)
+class Exp(_Function):
+    name = "exp"
+    fn = staticmethod(np.exp)
+    rule = staticmethod(lambda u, d, out: out * d)
 
 
-@dataclass(frozen=True)
-class Abs(ExprNode):
-    operand: ExprNode
+class Log(_Function):
+    name = "log"
+    rule = staticmethod(lambda u, d, out: d / u)
 
-    def evaluate(self, x):
-        return _unary(self.operand.evaluate(x), np.abs, _abs_rule)
+    @staticmethod
+    def fn(u):
+        if np.any(u <= 0.0):
+            raise DomainError("log argument must be positive")
+        return np.log(u)
+
+
+class Abs(_Function):
+    name = "abs"
+    fn = staticmethod(np.abs)
+
+    @staticmethod
+    def rule(u, d, out):
+        if np.any(u == 0.0):
+            raise DerivativeUndefinedError("derivative of abs is undefined at 0")
+        return np.sign(u) * d
 
 
 def _depends_on_x(node: ExprNode) -> bool:
@@ -316,12 +323,14 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_FUNCTIONS = {"exp": Exp, "log": Log, "abs": Abs}
+# every operator and function the grammar knows, read from the node classes
+_BINARY = {cls.symbol: cls for cls in _Binary.__subclasses__()}
+_FUNCTIONS = {cls.name: cls for cls in _Function.__subclasses__()}
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "number" | "ident" | "op" | "end"
+    kind: str  # "number" | "ident" | "op" | "end"; only an op token's text is an operator
     text: str
     position: int
 
@@ -355,44 +364,28 @@ class _Parser:
 
     def _expect_op(self, op: str, what: str):
         tok = self._peek()
-        if tok.kind == "op" and tok.text == op:
+        if tok.text == op:
             return self._advance()
         raise ParseError(f"expected {what}, got {tok.text or 'end of input'!r}", tok.position)
 
-    def parse(self) -> ExprNode:
-        node = self._expr()
-        tok = self._peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.position)
-        return node
-
-    def _expr(self) -> ExprNode:
-        node = self._term()
-        while self._peek().kind == "op" and self._peek().text in "+-":
-            op = self._advance().text
-            rhs = self._term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def _term(self) -> ExprNode:
+    def _binary(self, level: int = _LEVEL_ADD) -> ExprNode:
+        """Factors joined by the operators binding at level or tighter, each operator
+        left-associative (precedence climbing)."""
         node = self._factor()
-        while self._peek().kind == "op" and self._peek().text in "*/":
-            op = self._advance().text
-            rhs = self._factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        while (cls := _BINARY.get(self._peek().text)) is not None and cls.level >= level:
+            self._advance()
+            node = cls(node, self._binary(cls.level + 1))
         return node
 
     def _factor(self) -> ExprNode:
         base = self._unary()
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "^":
+        if self._peek().text == "^":
             self._advance()
             return Pow(base, self._factor())
         return base
 
     def _unary(self) -> ExprNode:
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self._peek().text == "-":
             self._advance()
             return Neg(self._unary())
         return self._atom()
@@ -409,17 +402,17 @@ class _Parser:
                 return Variable()
             if tok.text in _FUNCTIONS:
                 self._expect_op("(", f"'(' after {tok.text!r} (functions take exactly one argument)")
-                arg = self._expr()
+                arg = self._binary()
                 nxt = self._peek()
-                if nxt.kind == "op" and nxt.text == ",":
+                if nxt.text == ",":
                     raise ParseError(
                         f"{tok.text!r} takes exactly one argument", nxt.position
                     )
                 self._expect_op(")", "')'")
                 return _FUNCTIONS[tok.text](arg)
             raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.position)
-        if tok.kind == "op" and tok.text == "(":
-            node = self._expr()
+        if tok.text == "(":
+            node = self._binary()
             self._expect_op(")", "')'")
             return node
         raise ParseError(
@@ -430,25 +423,16 @@ class _Parser:
 
 def parse(text: str) -> ExprNode:
     """Parse expression text into an immutable tree."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    node = parser._binary()
+    tok = parser._peek()
+    if tok.kind != "end":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.position)
+    return node
 
 
 # ---------------------------------------------------------------------------
 # printing
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(node: ExprNode) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(node, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(node, Neg):
-        return _LEVEL_NEG
-    if isinstance(node, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
 
 
 def _format_number(v: float) -> str:
@@ -457,9 +441,13 @@ def _format_number(v: float) -> str:
     return repr(v)
 
 
-def _wrap(node: ExprNode, min_level: int) -> str:
+def _wrap(node: ExprNode, min_level: int, bare_power: bool = True) -> str:
+    """node's text, in parentheses if it binds looser than min_level, or is a
+    power where bare_power is False: -(x^2) differs from -x^2, as (x^2)^3 from x^2^3."""
     s = format_expression(node)
-    return s if _level(node) >= min_level else f"({s})"
+    if node.level < min_level or (not bare_power and node.level == _LEVEL_POW):
+        return f"({s})"
+    return s
 
 
 def format_expression(node: ExprNode) -> str:
@@ -469,28 +457,15 @@ def format_expression(node: ExprNode) -> str:
     if isinstance(node, Variable):
         return "x"
     if isinstance(node, Neg):
-        inner = format_expression(node.operand)
-        # a power may not follow unary minus bare: -(x^2) differs from -x^2
-        if _level(node.operand) in (_LEVEL_NEG, _LEVEL_ATOM):
-            return f"-{inner}"
-        return f"-({inner})"
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        return f"{_wrap(node.left, _LEVEL_ADD)} {op} {_wrap(node.right, _LEVEL_MUL)}"
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        return f"{_wrap(node.left, _LEVEL_MUL)}{op}{_wrap(node.right, _LEVEL_NEG)}"
+        return "-" + _wrap(node.operand, _LEVEL_NEG, bare_power=False)
+    if isinstance(node, _Binary):
+        op = f" {node.symbol} " if node.level == _LEVEL_ADD else node.symbol
+        return _wrap(node.left, node.level) + op + _wrap(node.right, node.level + 1)
     if isinstance(node, Pow):
-        b = format_expression(node.base)
-        if _level(node.base) not in (_LEVEL_NEG, _LEVEL_ATOM):
-            b = f"({b})"
-        e = format_expression(node.exponent)
-        if _level(node.exponent) < _LEVEL_NEG:
-            e = f"({e})"
-        return f"{b}^{e}"
-    for cls, name in ((Exp, "exp"), (Log, "log"), (Abs, "abs")):
-        if isinstance(node, cls):
-            return f"{name}({format_expression(node.operand)})"
+        b = _wrap(node.base, _LEVEL_NEG, bare_power=False)
+        return f"{b}^{_wrap(node.exponent, _LEVEL_NEG)}"
+    if isinstance(node, _Function):
+        return f"{node.name}({format_expression(node.operand)})"
     raise TypeError(f"unknown node type {type(node).__name__}")
 
 

@@ -413,20 +413,15 @@ def integrate_with_guarantee(
                 )
             least = max(1, math.ceil(lower))
 
-    grids: dict[int, tuple[float, float, float]] = {}  # n -> (value, bound_p4, bound_p5)
-
-    def passes(n: int) -> bool:
-        grids[n] = _uniform_pass(f, interval, n, constants)
-        return min(grids[n][1:]) <= tol
-
     lo, hi = least - 1, None  # B(lo) > tol (lo = 0: no panels) and B(hi) <= tol
     n, step = max(least, math.ceil(min(predicted, n_cap))), 1
     while True:
-        if passes(n):
-            hi = n
+        trial = _uniform_pass(f, interval, n, constants)  # (value, bound_p4, bound_p5)
+        if min(trial[1:]) <= tol:
+            hi, confirmed = n, trial
         elif n == n_cap:
             raise NonConvergenceError(
-                f"bound still {min(grids[n][1:]):.10g} > tol {tol:.10g} at n = n_cap = {n_cap}"
+                f"bound still {min(trial[1:]):.10g} > tol {tol:.10g} at n = n_cap = {n_cap}"
             )
         else:
             lo = n
@@ -440,5 +435,5 @@ def integrate_with_guarantee(
             n = (lo + hi) // 2
         step *= 2
 
-    value, b4, b5 = grids[hi]
+    value, b4, b5 = confirmed  # the pass at hi
     return QuadratureResult(value, b4, b5, n=hi, certified_tolerance=tol)

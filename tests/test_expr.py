@@ -4,6 +4,7 @@ Expected values are either exact in floating point (integer powers, halves)
 or checked against a central finite difference.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hhkit import expr
 from hhkit.corpus import DOMAIN, EXTRA_EXPRESSIONS, FUNCTION_TEXTS, corpus_functions
 from hhkit.expr import (
     Abs,
@@ -21,6 +23,7 @@ from hhkit.expr import (
     DomainError,
     DualValue,
     Exp,
+    ExprNode,
     FunctionSpec,
     Interval,
     Log,
@@ -428,6 +431,47 @@ def test_repeated_evaluation_is_bit_identical():
     assert np.array_equal(first, second)
     assert f.value(0.7) == f.value(0.7)
     assert isinstance(f.value(0.7), float)
+
+
+# ---------------------------------------------------------------------------
+# every node class declares its syntax once, and the parser and printer read it
+
+
+def _node_classes(cls=ExprNode):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+# the private bases (_Binary, _Function) hold shared rules, not syntax of their own
+_CONCRETE_NODES = [cls for cls in _node_classes() if not cls.__name__.startswith("_")]
+
+_CHILDREN = [
+    Variable(), Add(Variable(), Constant(1.0)), Neg(Variable()), Pow(Variable(), Constant(2.0))
+]
+
+
+def _small_instance(cls, child):
+    return cls(*(2.5 if f.type == "Real" else child for f in dataclasses.fields(cls)))
+
+
+def test_node_walk_finds_every_public_node_class():
+    public = {Constant, Variable, Neg, Add, Sub, Mul, Div, Pow, Exp, Log, Abs}
+    assert public <= set(_CONCRETE_NODES)
+
+
+@pytest.mark.parametrize("cls", _CONCRETE_NODES, ids=lambda cls: cls.__name__)
+def test_every_node_class_prints_text_that_parses_back(cls):
+    for child in _CHILDREN:
+        node = _small_instance(cls, child)
+        assert parse(format_expression(node)) == node, node
+
+
+def test_every_operator_and_function_class_is_in_the_parser_tables():
+    binary = [cls for cls in _CONCRETE_NODES if issubclass(cls, expr._Binary)]
+    functions = [cls for cls in _CONCRETE_NODES if issubclass(cls, expr._Function)]
+    assert {cls.symbol: cls for cls in binary} == expr._BINARY
+    assert {cls.name: cls for cls in functions} == expr._FUNCTIONS
 
 
 # ---------------------------------------------------------------------------

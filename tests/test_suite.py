@@ -5,8 +5,11 @@ the certification and oracle entry points counted.
 """
 
 import collections
+import hashlib
+import re
 import time
 
+import numpy as np
 import pytest
 
 from hhkit import cli, convexity, hhbounds, quadrature
@@ -26,6 +29,10 @@ SUITE_VERDICTS = {
     ("verify", "holds"): 194,
     ("verify", "hypothesis_falsified"): 646,
 }
+
+# SHA-256 of the `hhkit suite --format json` output with elapsed_ms masked, the
+# reference behaviour; the same literal and masking as perfbench/run.py
+SUITE_REFERENCE_DIGEST = "4498808a48f4513572fa2a13ae05fc5bff7a2a9adf19053070e6fbc59640611a"
 
 VERIFY_KEYS = [
     "theorem", "function", "a", "b", "s", "alpha", "m", "sense", "hypothesis_certified",
@@ -84,3 +91,14 @@ def test_suite_shares_certifications_and_oracle_integrals(suite):
     assert counts["certify"] == 285
     # 15 oracle integrals, 15 lemma line integrals, 30 guarantee cross-checks
     assert counts["reference"] == 60
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6",
+    reason="the suite's float bits depend on numpy and libm; the digest is pinned at numpy 2.4.6",
+)
+def test_suite_json_matches_the_reference_digest(suite):
+    records, _, _ = suite
+    text = cli.format_records(records, "json") + "\n"  # as `hhkit suite` prints it
+    masked = re.sub(r'"elapsed_ms": [^}]*', '"elapsed_ms": 0', text)
+    assert hashlib.sha256(masked.encode()).hexdigest() == SUITE_REFERENCE_DIGEST

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,7 +152,7 @@ def _text_line(r: ReportRecord) -> str:
     if r.kind == "certify":
         line = (
             f"certify {r.verdict}, worst_margin={r.margin:.6g} "
-            f"samples={ins.get('samples', '?')}"
+            f"samples={ins['samples']}"
         )
         if "x" in ins:
             line += (
@@ -162,11 +161,11 @@ def _text_line(r: ReportRecord) -> str:
             )
         return line
     if r.kind == "bound":
-        return f"{ins.get('theorem', '?')} bound, rhs={_fixed(r.rhs)}"
+        return f"{ins['theorem']} bound, rhs={_fixed(r.rhs)}"
     if r.kind == "integrate":
         return (
-            f"integrate {r.verdict}, value={r.lhs:.12g} n={ins.get('n', '?')}"
-            f" bound={r.rhs:.6g} tol={ins.get('tol', 0.0):g}"
+            f"integrate {r.verdict}, value={r.lhs:.12g} n={ins['n']}"
+            f" bound={r.rhs:.6g} tol={ins['tol']:g}"
         )
     if r.kind == "mean":
         return f"{ins['kind']}({ins['a']:g}, {ins['b']:g}) = {r.lhs:.12g}"
@@ -253,7 +252,7 @@ def _cmd_bound(cmd: Command):
 def _verify_row(tid, f, interval, params, hp, tol, grid):
     rep = hhbounds.verify_theorem(tid, f, interval, params, hp, tol, grid)
     # p follows the certification flag, and q = p / (p - 1) is left out
-    inputs = {k: v for k, v in rep.inputs.items() if k not in ("p", "q")}
+    inputs = {"theorem": tid, **_inputs(f, interval, params, sense="first")}
     inputs["hypothesis_certified"] = rep.hypothesis_certified
     if hp is not None:
         inputs["p"] = hp.p
@@ -272,16 +271,13 @@ def _cmd_verify(cmd: Command):
 
 def _cmd_integrate(cmd: Command):
     f = _function_for(cmd)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = quadrature.integrate_with_guarantee(
-            f, cmd.interval, cmd.tol, cmd.params.s, cmd.p, allow_uncertified=True
-        )
-    uncertified = any(issubclass(w.category, UserWarning) for w in caught)
+    res = quadrature.integrate_with_guarantee(
+        f, cmd.interval, cmd.tol, cmd.params.s, cmd.p, allow_uncertified=True
+    )
     bound = min(res.bound_p4, res.bound_p5)
     inputs = _inputs(f, cmd.interval, tol=cmd.tol, s=cmd.params.s, p=cmd.p, n=res.n)
     inputs.update(bound_p4=res.bound_p4, bound_p5=res.bound_p5)
-    verdict = "hypothesis_falsified" if uncertified else "within_tol"
+    verdict = "within_tol" if res.hypothesis_certified else "hypothesis_falsified"
     yield "integrate", inputs, res.value, bound, cmd.tol - bound, verdict
 
 
@@ -315,21 +311,23 @@ def _cmd_means(cmd: Command):
         )
 
         for pid in means.PROPOSITION_IDS:
-            yield _proposition_row(
-                means.proposition_check(pid, a, b, hp, n=cmd.n if pid == "P3" else None)
-            )
+            yield _proposition_row(pid, a, b, hp, cmd.n if pid == "P3" else None)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"means at a={a}, b={b} leave the float64 range ({exc})") from None
 
 
-def _proposition_row(rep: hhbounds.BoundReport):
+def _proposition_row(pid, a, b, hp, n):
+    rep = means.proposition_check(pid, a, b, hp, n)
+    inputs = {"proposition": pid, "a": a, "b": b, "p": hp.p, "q": hp.q}
+    if n is not None:
+        inputs["n"] = n
     # P2/P3 are checked exactly as printed and are suspected misprints;
     # a failed check there is reported without failing the run
     if rep.holds:
         verdict = "holds"
     else:
-        verdict = "violated" if rep.theorem_id == "P1" else "finding"
-    return "proposition", dict(rep.inputs), rep.lhs_gap, rep.rhs_bound, rep.margin, verdict
+        verdict = "violated" if pid == "P1" else "finding"
+    return "proposition", inputs, rep.lhs_gap, rep.rhs_bound, rep.margin, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +442,7 @@ def _suite_propositions():
         for a, b in _SUITE_PROP_PAIRS:
             for p in corpus.HOLDER_PS:
                 for n in _SUITE_P3_NS if pid == "P3" else (None,):
-                    yield _proposition_row(
-                        means.proposition_check(pid, a, b, HolderExponents(p), n=n)
-                    )
+                    yield _proposition_row(pid, a, b, HolderExponents(p), n)
 
 
 def _suite_quadrature():

@@ -451,7 +451,8 @@ def _wrap(node: ExprNode, min_level: int, bare_power: bool = True) -> str:
 
 
 def format_expression(node: ExprNode) -> str:
-    """Render a tree to text that re-parses to a structurally equal tree."""
+    """Text that re-parses to a structurally equal tree, for a tree built by parse.
+    A negative Constant(-c) built in code re-parses to Neg(Constant(c)), of equal value."""
     if isinstance(node, Constant):
         return _format_number(node.value)
     if isinstance(node, Variable):

@@ -39,13 +39,14 @@ TENSOR_NODES = 48  # Gauss-Legendre nodes per axis for the double-integral repre
 
 @dataclass(frozen=True)
 class BoundReport:
-    theorem_id: str
+    """One bound checked at one input: the values, their margin, and whether the
+    bound and its hypothesis held.  The inputs are the caller's to record."""
+
     lhs_gap: float
     rhs_bound: float
     margin: float  # rhs_bound - lhs_gap
     holds: bool
     hypothesis_certified: bool
-    inputs: dict
 
 
 @lru_cache(maxsize=256)
@@ -201,28 +202,12 @@ def verify_theorem(
     hyp_params = ConvexityParams(params.s, params.alpha, params.m, "first")
     certified = _hypothesis_certified(f, q, interval, hyp_params, grid_n)
 
-    inputs = {
-        "theorem": theorem_id,
-        "function": f.text,
-        "a": interval.a,
-        "b": interval.b,
-        "s": params.s,
-        "alpha": params.alpha,
-        "m": params.m,
-        "sense": "first",
-    }
-    if q is not None:
-        inputs["p"] = hp.p
-        inputs["q"] = q
-
     return BoundReport(
-        theorem_id=theorem_id,
         lhs_gap=gap,
         rhs_bound=bound,
         margin=margin,
         holds=margin >= -tol,
         hypothesis_certified=certified,
-        inputs=inputs,
     )
 
 

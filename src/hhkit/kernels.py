@@ -19,7 +19,7 @@ over alpha_s x p runs each quadrature once per exponent value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -50,18 +50,15 @@ class KernelConstants:
 
 @dataclass(frozen=True)
 class HolderExponents:
-    """Conjugate exponent pair with 1/p + 1/q = 1."""
+    """Conjugate exponent pair: q = p / (p - 1) is computed from p, never passed."""
 
     p: float
-    q: float = 0.0
+    q: float = field(init=False)
 
     def __post_init__(self):
         if not 1.0 < self.p < np.inf:
             raise ValueError(f"p must exceed 1 and be finite, got {self.p}")
-        if self.q == 0.0:
-            object.__setattr__(self, "q", self.p / (self.p - 1.0))
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-14:
-            raise ValueError(f"exponents p={self.p}, q={self.q} are not conjugate")
+        object.__setattr__(self, "q", self.p / (self.p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -71,17 +68,13 @@ class IdentityCheck:
     numeric: float
     closed_form: float
     residual: float
-    passed: bool
 
 
 @dataclass(frozen=True)
 class KernelIdentityReport:
     alpha_s: float
     p: float
-    tol: float
     checks: tuple[IdentityCheck, ...]
-    max_residual: float
-    passed: bool
 
 
 def kernel_constants(alpha_s: float, m: float = 1.0) -> KernelConstants:
@@ -248,12 +241,15 @@ def _moment(key: str, exponent, nodes: tuple[int, int]) -> float:
 def verify_kernel_identities(
     alpha_s: float, p: float, tol: float = 1e-8
 ) -> KernelIdentityReport:
-    """Check every closed-form kernel moment against direct quadrature.
+    """Every closed-form kernel moment beside its direct quadrature.
 
     The report contains one entry per identity used by the bound formulas,
     including the restatements that appear inside q-th roots (suffix
     ``_qform``); those share the numeric value with their plain counterparts
     but are listed separately so a report row exists for each use site.
+    Each entry gives its residual and passes no verdict on it.  tol sets only
+    how far each moment's primary and cross-check quadratures may disagree,
+    max(1e-10, 0.1 * tol), before NonConvergenceError is raised.
     """
     kc = kernel_constants(alpha_s, 1.0)
     c1, c2 = holder_constants(p)
@@ -283,23 +279,5 @@ def verify_kernel_identities(
     for name, (key, dim, target) in closed.items():
         value = numeric[key]
         residual = abs(value - target)
-        checks.append(
-            IdentityCheck(
-                name=name,
-                dimension=dim,
-                numeric=value,
-                closed_form=target,
-                residual=residual,
-                passed=residual <= tol,
-            )
-        )
-
-    max_residual = max(ch.residual for ch in checks)
-    return KernelIdentityReport(
-        alpha_s=alpha_s,
-        p=p,
-        tol=tol,
-        checks=tuple(checks),
-        max_residual=max_residual,
-        passed=all(ch.passed for ch in checks),
-    )
+        checks.append(IdentityCheck(name, dim, value, target, residual))
+    return KernelIdentityReport(alpha_s, p, tuple(checks))

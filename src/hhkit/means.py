@@ -159,8 +159,6 @@ def proposition_check(
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
     p, q = hp.p, hp.q
 
-    inputs = {"proposition": prop_id, "a": a, "b": b, "p": p, "q": q}
-
     if prop_id == "P1":
         lhs = abs(_arithmetic(a, b) - _logarithmic(a, b))
         rhs = (
@@ -175,7 +173,6 @@ def proposition_check(
         if n is None or not float(n).is_integer() or abs(n) < 2:
             raise ValueError(f"P3 needs an integer n with |n| >= 2, got {n}")
         n = int(n)
-        inputs["n"] = n
         lhs = abs(_arithmetic(a**n, b**n) - extended_p_logarithmic(a, b, n) ** n)
         rhs = (
             abs(n) ** q
@@ -186,11 +183,9 @@ def proposition_check(
 
     margin = rhs - lhs
     return BoundReport(
-        theorem_id=prop_id,
         lhs_gap=lhs,
         rhs_bound=rhs,
         margin=margin,
         holds=margin >= -1e-12,
         hypothesis_certified=True,
-        inputs=inputs,
     )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
@@ -46,14 +45,19 @@ class Partition:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        self._hold(np.array(self.points, dtype=float))  # a copy the caller cannot write to
+
+    def _hold(self, pts: np.ndarray) -> None:
+        """Check pts a block of convexity.BLOCK_POINTS panels at a time, finiteness
+        over all blocks first, then keep pts itself, read-only, as the points."""
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("a partition needs at least two points")
-        if not np.all(np.isfinite(pts)):
+        step = convexity.BLOCK_POINTS
+        blocks = [pts[i : i + step + 1] for i in range(0, pts.size - 1, step)]
+        if not all(np.isfinite(block).all() for block in blocks):
             raise ValueError("partition points must be finite")
-        if not np.all(np.diff(pts) > 0.0):
+        if not all((np.diff(block) > 0.0).all() for block in blocks):
             raise ValueError("partition points must be strictly increasing")
-        pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -61,7 +65,9 @@ class Partition:
     def uniform(cls, interval: Interval, n: int) -> "Partition":
         if n < 1:
             raise ValueError("n must be at least 1")
-        return cls(np.linspace(interval.a, interval.b, n + 1))
+        part = cls.__new__(cls)
+        part._hold(np.linspace(interval.a, interval.b, n + 1))  # no one else holds it
+        return part
 
     @property
     def n(self) -> int:
@@ -82,7 +88,7 @@ class QuadratureResult:
     bound_p4: float
     bound_p5: float
     n: int
-    certified_tolerance: float
+    hypothesis_certified: bool  # the |f'| hypothesis behind the bounds survived certify
 
 
 def bound_constant(variant: str, s: float, p: float) -> float:
@@ -378,8 +384,8 @@ def integrate_with_guarantee(
 
     The |f'| hypothesis behind the bounds is checked by convexity.certify with
     parameters (s, 1, 1, first) on a CERTIFY_GRID_N lattice; a falsified
-    hypothesis raises unless allow_uncertified is set, in which case a warning
-    is issued and the bounds are reported as computed.
+    hypothesis raises ValueError unless allow_uncertified is set, in which case
+    the bounds are reported as computed, with hypothesis_certified False.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -388,14 +394,12 @@ def integrate_with_guarantee(
 
     params = convexity.ConvexityParams(s, 1.0, 1.0, "first")
     cert = convexity.certify(derivative_power(f), interval, params, CERTIFY_GRID_N)
-    if cert.falsified:
-        msg = (
+    if cert.falsified and not allow_uncertified:
+        raise ValueError(
             f"|({f.text})'| falsified for the s={s} class on "
             f"[{interval.a}, {interval.b}]; error bounds are not guaranteed"
+            " (pass allow_uncertified=True to proceed)"
         )
-        if not allow_uncertified:
-            raise ValueError(msg + " (pass allow_uncertified=True to proceed)")
-        warnings.warn(msg)
 
     constants = bound_constant("P4", s, p), bound_constant("P5", s, p)
     least, predicted = 1, 1.0  # every n < least fails
@@ -436,4 +440,4 @@ def integrate_with_guarantee(
         step *= 2
 
     value, b4, b5 = confirmed  # the pass at hi
-    return QuadratureResult(value, b4, b5, n=hi, certified_tolerance=tol)
+    return QuadratureResult(value, b4, b5, n=hi, hypothesis_certified=not cert.falsified)

@@ -405,6 +405,31 @@ def test_means_out_of_float64_range_is_input_error(capsys, interval, a, b):
     assert err.count("\n") == 1
 
 
+def test_integrate_reports_a_falsified_hypothesis_without_warning(capsys):
+    # |f'| = 2x - x^2/2 is concave on [0, 1], so the bounds are not guaranteed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "integrate", "--function", "x^2 - x*x*x/6", "--interval", "0:1",
+            "--tol", "1e-4", "--format", "json",
+        )  # fmt: skip
+    assert (code, err) == (0, "")
+    assert [rec["verdict"] for rec in json.loads(out)] == ["hypothesis_falsified"]
+
+
+def test_means_json_proposition_rows_list_their_inputs(capsys):
+    code, out, _ = run(capsys, "means", "--interval", "1:2", "--n", "-3", "--format", "json")
+    assert code == 0
+    rows = [r["inputs"] for r in json.loads(out) if r["kind"] == "proposition"]
+    assert [list(ins) for ins in rows] == [
+        ["proposition", "a", "b", "p", "q"],
+        ["proposition", "a", "b", "p", "q"],
+        ["proposition", "a", "b", "p", "q", "n"],
+    ]
+    assert [ins["proposition"] for ins in rows] == ["P1", "P2", "P3"]
+    assert rows[2]["n"] == -3
+
+
 def test_integrate_past_panel_cap_is_refused_with_predicted_n(capsys):
     # the default tol 1e-6 needs about 5.7e7 panels for x^4 on [1, 3]
     code, out, err = run(capsys, "integrate", "--function", "x^4", "--interval", "1:3")

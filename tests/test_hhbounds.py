@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hhkit import convexity, quadrature
+from hhkit import cli, convexity, quadrature
 from hhkit.convexity import ConvexityParams
 from hhkit.corpus import DOMAIN, INTERVALS, corpus_functions
 from hhkit.expr import Interval, parse_function
@@ -174,16 +174,19 @@ def test_m_half_bound_uses_widened_endpoint():
 
 
 def test_verify_t1_square_margin_and_inputs():
-    report = verify_theorem("T1", parse_function("x^2", UNIT), UNIT, CLASSIC)
+    f = parse_function("x^2", UNIT)
+    report = verify_theorem("T1", f, UNIT, CLASSIC)
     assert report.holds
     assert report.hypothesis_certified
     assert math.isclose(report.margin, 1.0 / 12.0, abs_tol=1e-12)
     assert math.isclose(report.lhs_gap, 1.0 / 6.0, abs_tol=1e-12)
     assert report.rhs_bound == 0.25
-    assert report.inputs["theorem"] == "T1"
-    assert report.inputs["function"] == "x^2"
-    assert (report.inputs["a"], report.inputs["b"]) == (0.0, 1.0)
-    assert "p" not in report.inputs
+    # the record's inputs are laid out by the CLI, not by the report
+    _, inputs, *_ = cli._verify_row("T1", f, UNIT, CLASSIC, None, 1e-9, convexity.DEFAULT_GRID_N)
+    assert inputs == {
+        "theorem": "T1", "function": "x^2", "a": 0.0, "b": 1.0,
+        "s": 1.0, "alpha": 1.0, "m": 1.0, "sense": "first", "hypothesis_certified": True,
+    }  # fmt: skip
 
 
 def test_verify_t4_square_is_tight():
@@ -193,11 +196,13 @@ def test_verify_t4_square_is_tight():
 
 
 def test_verify_t2_records_exponents():
-    report = verify_theorem("T2", parse_function("exp(x)", UNIT), UNIT, CLASSIC, HP2)
+    f = parse_function("exp(x)", UNIT)
+    report = verify_theorem("T2", f, UNIT, CLASSIC, HP2)
     assert report.holds
-    assert report.inputs["p"] == 2.0
-    assert report.inputs["q"] == 2.0
     assert math.isclose(report.rhs_bound, EXP_BOUNDS["T2"], rel_tol=1e-13)
+    _, inputs, *_ = cli._verify_row("T2", f, UNIT, CLASSIC, HP2, 1e-9, convexity.DEFAULT_GRID_N)
+    assert list(inputs)[-2:] == ["hypothesis_certified", "p"]  # q = p / (p - 1) is left out
+    assert inputs["p"] == 2.0
 
 
 def test_hypothesis_function_values():

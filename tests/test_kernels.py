@@ -114,9 +114,14 @@ def test_holder_exponents_compute_conjugate():
     assert HolderExponents(3.0).q == 1.5
 
 
-def test_holder_exponents_accept_explicit_conjugate():
-    hp = HolderExponents(2.0, 2.0)
-    assert hp.p == 2.0 and hp.q == 2.0
+def test_holder_exponents_take_no_q():
+    # q is always p / (p - 1), so it cannot be passed, conjugate or not
+    for p in (1.25, 2.0, 7.0):
+        assert HolderExponents(p).q == p / (p - 1.0)
+    with pytest.raises(TypeError):
+        HolderExponents(2.0, 2.0)
+    with pytest.raises(TypeError):
+        HolderExponents(2.0, q=3.0)
 
 
 def test_holder_exponents_reject_bad_pairs():
@@ -124,8 +129,6 @@ def test_holder_exponents_reject_bad_pairs():
         HolderExponents(1.0)
     with pytest.raises(ValueError):
         HolderExponents(0.5)
-    with pytest.raises(ValueError):
-        HolderExponents(2.0, 3.0)
 
 
 @pytest.mark.parametrize("p", [math.inf, math.nan])
@@ -141,10 +144,8 @@ def test_holder_exponents_reject_a_non_finite_p(p):
 
 def test_identity_report_structure_and_pass():
     report = verify_kernel_identities(1.0, 2.0, tol=1e-10)
-    assert report.passed
-    assert report.max_residual <= 1e-10
+    assert max(c.residual for c in report.checks) <= 1e-10
     assert {c.name for c in report.checks} == EXPECTED_CHECK_NAMES
-    assert all(c.passed for c in report.checks)
     dims = {c.name: c.dimension for c in report.checks}
     assert sum(1 for d in dims.values() if d == 1) == 5
     assert sum(1 for d in dims.values() if d == 2) == 6
@@ -152,8 +153,7 @@ def test_identity_report_structure_and_pass():
 
 def test_identities_hold_at_fractional_exponents():
     report = verify_kernel_identities(0.3, 1.5, tol=1e-9)
-    assert report.passed
-    assert report.max_residual <= 1e-9
+    assert max(c.residual for c in report.checks) <= 1e-9
 
 
 def test_plain_pair_moment_is_one_third_to_machine_precision():
@@ -234,14 +234,11 @@ def _reference_report(alpha_s, p, tol):
         "pair_kernel_t_weight_qform": ("pair_t", 2, kc.u1),
         "pair_kernel_t_weight_complement_qform": ("pair_comp", 2, 1.0 / 3.0 - kc.u1),
     }
-    checks = []
-    for name, (key, dim, target) in closed.items():
-        residual = abs(numeric[key] - target)
-        checks.append(IdentityCheck(name, dim, numeric[key], target, residual, residual <= tol))
-    return KernelIdentityReport(
-        alpha_s, p, tol, tuple(checks),
-        max(ch.residual for ch in checks), all(ch.passed for ch in checks),
+    checks = tuple(
+        IdentityCheck(name, dim, numeric[key], target, abs(numeric[key] - target))
+        for name, (key, dim, target) in closed.items()
     )
+    return KernelIdentityReport(alpha_s, p, checks)
 
 
 def _outcome(fn, *args):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from hhkit import cli
 from hhkit.convexity import ConvexityParams
 from hhkit.expr import Interval, parse_function
 from hhkit.hhbounds import verify_theorem
@@ -221,13 +222,15 @@ def test_p3_at_1_2_with_n_2():
     assert math.isclose(report.lhs_gap, 1.0 / 6.0, abs_tol=1e-12)
     assert math.isclose(report.rhs_bound, 10.0 / 3.0, rel_tol=1e-13)
     assert report.holds
-    assert report.inputs["n"] == 2
+    _, inputs, *_ = cli._proposition_row("P3", 1.0, 2.0, HolderExponents(2.0), 2)
+    assert inputs == {"proposition": "P3", "a": 1.0, "b": 2.0, "p": 2.0, "q": 2.0, "n": 2}
 
 
 def test_p3_accepts_negative_n():
     report = proposition_check("P3", 1.0, 2.0, HolderExponents(2.0), n=-3)
-    assert report.inputs["n"] == -3
     assert math.isfinite(report.margin)
+    _, inputs, *_ = cli._proposition_row("P3", 1.0, 2.0, HolderExponents(2.0), -3)
+    assert inputs["n"] == -3
 
 
 def test_proposition_validation():

@@ -1,7 +1,9 @@
 """Property-based checks for structure-preserving printing and mean orderings."""
 
+import dataclasses
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hhkit.expr import (
@@ -26,7 +28,8 @@ _constants = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
 ).map(Constant)
 
-_leaves = st.one_of(_constants, st.just(Variable()))
+# parse never builds a negative Constant: it reads -c as Neg(Constant(c))
+_negative_constants = st.floats(min_value=-1e6, max_value=0.0, exclude_max=True).map(Constant)
 
 
 def _extend(children):
@@ -38,13 +41,42 @@ def _extend(children):
     )
 
 
-_trees = st.recursive(_leaves, _extend, max_leaves=25)
+def _trees_of(constants):
+    return st.recursive(st.one_of(constants, st.just(Variable())), _extend, max_leaves=25)
+
+
+_trees = _trees_of(_constants)
+
+
+def _as_parsed(node):
+    """node with each negative Constant(-c) replaced by Neg(Constant(c))."""
+    if isinstance(node, Constant):
+        return Neg(Constant(-node.value)) if node.value < 0.0 else node
+    children = {f.name: _as_parsed(getattr(node, f.name)) for f in dataclasses.fields(node)}
+    return dataclasses.replace(node, **children)
+
+
+@np.errstate(all="ignore")  # an overflow is part of the outcome, the same on both sides
+def _outcome(tree, x):
+    try:
+        return repr(tree.evaluate(x))
+    except Exception as exc:  # noqa: BLE001 - the exception class is the outcome
+        return type(exc)
 
 
 @settings(deadline=None, derandomize=True)
 @given(_trees)
 def test_printed_trees_reparse_to_the_same_structure(tree):
     assert parse(format_expression(tree)) == tree
+
+
+@settings(deadline=None, derandomize=True)
+@given(_trees_of(st.one_of(_constants, _negative_constants)))
+def test_negative_constants_reparse_as_negations_of_equal_value(tree):
+    reparsed = parse(format_expression(tree))
+    assert reparsed == _as_parsed(tree)
+    for x in (-1.5, 0.5, 2.0):
+        assert _outcome(reparsed, x) == _outcome(tree, x)
 
 
 @settings(deadline=None, derandomize=True)

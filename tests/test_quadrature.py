@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,39 @@ def test_partition_points_are_read_only():
     part = Partition.uniform(UNIT, 2)
     with pytest.raises(ValueError):
         part.points[0] = -1.0
+
+
+def test_partition_copies_a_callers_points():
+    pts = np.linspace(0.0, 1.0, 5)
+    part = Partition(pts)
+    pts[1] = 0.9
+    assert part.points[1] == 0.25
+    assert pts.flags.writeable and not part.points.flags.writeable
+
+
+def test_partition_checks_every_pair_across_blocks():
+    block = convexity.BLOCK_POINTS
+    pts = np.arange(3.0 * block)
+    pts[block] = pts[block - 1]  # a repeated point straddling the first block edge
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Partition(pts)
+    # a decrease in the first block and a nan in the last: finiteness is reported
+    pts = np.arange(3.0 * block)
+    pts[1], pts[-1] = -1.0, math.nan
+    with pytest.raises(ValueError, match="finite"):
+        Partition(pts)
+
+
+def test_uniform_partition_holds_its_points_once():
+    # 2**22 + 1 points are 32 MiB; whole-array checks and a copy peaked at 68 MiB
+    tracemalloc.start()
+    try:
+        part = Partition.uniform(UNIT, 2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.n == 2**22 and not part.points.flags.writeable
+    assert peak <= 40 * 2**20, peak
 
 
 def test_trapezoid_sum_examples():
@@ -292,7 +326,7 @@ def test_guarantee_square_picks_smallest_sufficient_n():
     assert result.value == 0.3359375
     assert abs(result.value - 1.0 / 3.0) <= 0.05
     assert result.bound_p4 <= 0.05
-    assert result.certified_tolerance == 0.05
+    assert result.hypothesis_certified is True
     # one panel fewer misses the tolerance, so 8 is genuinely minimal
     coarser = trapezoid_error_bound("P4", parse_function("x^2", UNIT), Partition.uniform(UNIT, 7))
     assert coarser > 0.05
@@ -331,10 +365,12 @@ def test_uncertified_hypothesis_raises_by_default():
         integrate_with_guarantee(f, UNIT, 1e-4)
 
 
-def test_uncertified_hypothesis_warns_when_allowed():
+def test_uncertified_hypothesis_is_reported_when_allowed():
     f = parse_function("x^2 - x*x*x/6", UNIT)
-    with pytest.warns(UserWarning, match="not guaranteed"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported in the result, not as a warning
         result = integrate_with_guarantee(f, UNIT, 1e-4, allow_uncertified=True)
+    assert result.hypothesis_certified is False
     oracle = reference_integrate(f, UNIT, tol=1e-10)
     assert abs(result.value - oracle) <= 1e-4  # the bound happens to hold anyway
 
@@ -511,8 +547,8 @@ def test_guarantee_falsified_hypothesis_is_never_refused_early():
     # integral and its "lower bound" (117852.4) exceeds the minimal n
     iv = Interval(0.0, 1.0)
     f = parse_function("x^1.25", iv)
-    with pytest.warns(UserWarning, match="falsified"):
-        result = integrate_with_guarantee(f, iv, 3e-6, allow_uncertified=True, n_cap=117852)
+    result = integrate_with_guarantee(f, iv, 3e-6, allow_uncertified=True, n_cap=117852)
+    assert result.hypothesis_certified is False
     assert result.n == _doubling_bisection_n(f, iv, 3e-6) == 117852
 
 

@@ -1,12 +1,14 @@
-"""The CLI examples in README.md, run as written.
+"""The examples in README.md, run as written.
 
 Every ``$ hhkit ...`` line in a fenced code block is run through ``cli.main``.
 The lines after it, up to a blank line, the next command or the end of the
 block, are its stdout, or its one ``error:`` line on stderr; it exits 2
-exactly when that is an error line.
+exactly when that is an error line.  Every fenced ``python`` block is
+executed, and its asserts must hold.
 """
 
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -34,6 +36,10 @@ def _examples() -> list[tuple[str, list[str]]]:
 
 EXAMPLES = _examples()
 
+PYTHON_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S
+)
+
 
 def test_readme_has_output_and_error_examples():
     assert any(lines[0].startswith("error:") for _, lines in EXAMPLES)
@@ -49,3 +55,12 @@ def test_readme_example_prints_what_the_readme_shows(capsys, command, expected):
     else:
         assert code != 2
         assert (out.splitlines(), err) == (expected, "")
+
+
+def test_readme_has_a_python_example():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS, ids=range(len(PYTHON_BLOCKS)))
+def test_readme_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {})

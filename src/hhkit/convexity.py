@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .expr import DomainError, Interval
+from .expr import DomainError, FunctionSpec, Interval, derivative_power
 
 SENSES = ("first", "second")
 
@@ -183,3 +184,15 @@ def certify(
         counterexample=cex,
         verdict=verdict,
     )
+
+
+@lru_cache(maxsize=256)
+def hypothesis_certified(
+    f: FunctionSpec, q: Optional[float], interval: Interval, params: ConvexityParams, grid_n: int
+) -> bool:
+    """Whether |f'|^q (|f'| when q is None), the hypothesis of every bound,
+    survives certify in params' class taken in the first sense.  Memoised, so
+    T2, T3, T5 and T6 at one p share a sweep, T1 and T4 share one, and the
+    guaranteed integrator sweeps once per (f, interval, s) at any tol."""
+    first = ConvexityParams(params.s, params.alpha, params.m, "first")
+    return not certify(derivative_power(f, q), interval, first, grid_n).falsified

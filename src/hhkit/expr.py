@@ -550,11 +550,9 @@ class FunctionSpec:
 @dataclass(frozen=True)
 class DerivedFunction:
     """A pointwise-defined function (such as |f'| or |f'|^q) usable wherever only
-    evaluation over a domain is needed."""
+    evaluation is needed."""
 
     fn: Callable[[Scalar], Scalar]
-    domain: Interval
-    text: str = "<derived>"
 
     def __call__(self, x: Scalar) -> Scalar:
         return self.fn(x)
@@ -565,10 +563,8 @@ class DerivedFunction:
 def derivative_power(f: FunctionSpec, q: Optional[float] = None) -> DerivedFunction:
     """|f'| when q is None, |f'|^q otherwise."""
     if q is None:
-        return DerivedFunction(lambda x: np.abs(f.derivative(x)), f.domain, f"|({f.text})'|")
-    return DerivedFunction(
-        lambda x: np.abs(f.derivative(x)) ** q, f.domain, f"|({f.text})'|^{q:g}"
-    )
+        return DerivedFunction(lambda x: np.abs(f.derivative(x)))
+    return DerivedFunction(lambda x: np.abs(f.derivative(x)) ** q)
 
 
 def parse_function(text: str, domain: Interval) -> FunctionSpec:

@@ -166,20 +166,6 @@ def hypothesis_function(
     return derivative_power(f, _hypothesis_q(theorem_id, hp))
 
 
-@lru_cache(maxsize=256)
-def _hypothesis_certified(
-    f: FunctionSpec,
-    q: Optional[float],
-    interval: Interval,
-    params: ConvexityParams,
-    grid_n: int,
-) -> bool:
-    # one lattice sweep per distinct hypothesis: T2, T3, T5 and T6 at one p
-    # all assume |f'|^q, and T1 and T4 both assume |f'|
-    hyp = derivative_power(f, q)
-    return not convexity.certify(hyp, interval, params, grid_n).falsified
-
-
 def verify_theorem(
     theorem_id: str,
     f: FunctionSpec,
@@ -191,16 +177,15 @@ def verify_theorem(
 ) -> BoundReport:
     """Evaluate gap and bound, and certify the bound's hypothesis by sampling.
 
-    The hypothesis is always taken in the first combination sense regardless
-    of params.sense, since that is the sense the bound family is stated for.
+    convexity.hypothesis_certified (shared with integrate_with_guarantee) takes
+    the hypothesis in the first sense, the bounds' own, whatever params.sense.
     """
     bound = theorem_bound(theorem_id, f, interval, params, hp)
     gap = hh_gap(f, interval)
     margin = bound - gap
 
     q = _hypothesis_q(theorem_id, hp)
-    hyp_params = ConvexityParams(params.s, params.alpha, params.m, "first")
-    certified = _hypothesis_certified(f, q, interval, hyp_params, grid_n)
+    certified = convexity.hypothesis_certified(f, q, interval, params, grid_n)
 
     return BoundReport(
         lhs_gap=gap,

@@ -40,8 +40,6 @@ _CONVERGENCE_SLACK = 1e-10
 class KernelConstants:
     """Closed-form kernel moments for exponent alpha_s and scale parameter m."""
 
-    alpha_s: float
-    m: float
     v1: float
     v2: float
     u1: float
@@ -72,8 +70,6 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class KernelIdentityReport:
-    alpha_s: float
-    p: float
     checks: tuple[IdentityCheck, ...]
 
 
@@ -87,8 +83,6 @@ def kernel_constants(alpha_s: float, m: float = 1.0) -> KernelConstants:
     v1 = (1.0 + 2.0**c * c) / (2.0**c * (c + 1.0) * (c + 2.0))
     u1 = (c * c + 3.0 * c + 4.0) / (2.0 * (c + 1.0) * (c + 2.0) * (c + 3.0))
     return KernelConstants(
-        alpha_s=c,
-        m=m,
         v1=v1,
         v2=m * (0.5 - v1),
         u1=u1,
@@ -280,4 +274,4 @@ def verify_kernel_identities(
         value = numeric[key]
         residual = abs(value - target)
         checks.append(IdentityCheck(name, dim, value, target, residual))
-    return KernelIdentityReport(alpha_s, p, tuple(checks))
+    return KernelIdentityReport(tuple(checks))

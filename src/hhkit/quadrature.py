@@ -26,7 +26,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import convexity
-from .expr import DomainError, FunctionSpec, Interval, NonConvergenceError, derivative_power
+from .expr import DomainError, FunctionSpec, Interval, NonConvergenceError
 from .kernels import HolderExponents, kernel_constants
 
 BOUND_VARIANTS = ("P4", "P5")
@@ -192,8 +192,10 @@ _MIN_DEPTH = 3  # guard against symmetric cancellation fooling the first estimat
 
 REFERENCE_PANEL_CAP = 2**16  # most active panels in one level of refinement
 
+MAX_DEPTH = 60  # deepest refinement level before a panel counts as not converging
 
-def _simpson(a, fa, m, fm, b, fb):
+
+def _simpson(a, fa, fm, b, fb):
     return (b - a) * (fa + 4.0 * fm + fb) / 6.0
 
 
@@ -217,7 +219,6 @@ def reference_integrate(
     f: Union[FunctionSpec, Callable[[np.ndarray], np.ndarray]],
     interval: Interval,
     tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> float:
     """Adaptive-Simpson estimate of the integral of f over the interval.
 
@@ -226,8 +227,8 @@ def reference_integrate(
     on the endpoints and midpoint, then once per refinement level on the
     quarter-points of all panels still active at that level.
 
-    NonConvergenceError is raised when a panel is still unaccepted at
-    max_depth, or before a level would hold more than REFERENCE_PANEL_CAP
+    NonConvergenceError is raised when a panel is still unaccepted at depth
+    MAX_DEPTH, or before a level would hold more than REFERENCE_PANEL_CAP
     panels.
     """
     if not tol > 0.0:
@@ -236,25 +237,25 @@ def reference_integrate(
     b = np.array([interval.b], dtype=float)
     m = 0.5 * (a + b)
     fa, fm, fb = np.split(_values(f, np.concatenate((a, m, b))), 3)
-    whole = _simpson(a, fa, m, fm, b, fb)
+    whole = _simpson(a, fa, fm, b, fb)
 
     levels = []  # per depth: (panel values, refined mask), panels in tree order
     for depth in itertools.count():
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = np.split(_values(f, np.concatenate((lm, rm))), 2)
-        left = _simpson(a, fa, lm, flm, m, fm)
-        right = _simpson(m, fm, rm, frm, b, fb)
+        left = _simpson(a, fa, flm, m, fm)
+        right = _simpson(m, fm, frm, b, fb)
         err = left + right - whole
         refine = ~(np.abs(err) <= 15.0 * tol) if depth >= _MIN_DEPTH else np.ones(a.size, bool)
         levels.append((left + right + err / 15.0, refine))
         n_refine = int(np.count_nonzero(refine))
         if n_refine == 0:
             break
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             i = int(np.argmax(refine))
             raise NonConvergenceError(
-                f"adaptive refinement exceeded depth {max_depth} on [{a[i]}, {b[i]}]"
+                f"adaptive refinement exceeded depth {MAX_DEPTH} on [{a[i]}, {b[i]}]"
             )
         if 2 * n_refine > REFERENCE_PANEL_CAP:
             raise NonConvergenceError(
@@ -382,10 +383,11 @@ def integrate_with_guarantee(
     pass; otherwise a prediction past n_cap is settled by evaluating
     B(n_cap).
 
-    The |f'| hypothesis behind the bounds is checked by convexity.certify with
-    parameters (s, 1, 1, first) on a CERTIFY_GRID_N lattice; a falsified
-    hypothesis raises ValueError unless allow_uncertified is set, in which case
-    the bounds are reported as computed, with hypothesis_certified False.
+    The |f'| hypothesis behind the bounds is checked once per (f, interval, s)
+    by convexity.hypothesis_certified, shared with verify_theorem, in the class
+    (s, 1, 1, first) on a CERTIFY_GRID_N lattice; a falsified hypothesis raises
+    ValueError unless allow_uncertified is set, in which case the bounds are
+    reported as computed, with hypothesis_certified False.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -393,8 +395,8 @@ def integrate_with_guarantee(
         raise ValueError(f"n_cap must be at least 1, got {n_cap}")
 
     params = convexity.ConvexityParams(s, 1.0, 1.0, "first")
-    cert = convexity.certify(derivative_power(f), interval, params, CERTIFY_GRID_N)
-    if cert.falsified and not allow_uncertified:
+    certified = convexity.hypothesis_certified(f, None, interval, params, CERTIFY_GRID_N)
+    if not certified and not allow_uncertified:
         raise ValueError(
             f"|({f.text})'| falsified for the s={s} class on "
             f"[{interval.a}, {interval.b}]; error bounds are not guaranteed"
@@ -408,7 +410,7 @@ def integrate_with_guarantee(
     except DomainError:
         pass  # f' is undefined at a point of the prediction grid
     else:
-        if not cert.falsified:
+        if certified:
             lower *= 1.0 - ROUNDING_SLACK
             if lower > n_cap:
                 raise NonConvergenceError(
@@ -440,4 +442,4 @@ def integrate_with_guarantee(
         step *= 2
 
     value, b4, b5 = confirmed  # the pass at hi
-    return QuadratureResult(value, b4, b5, n=hi, hypothesis_certified=not cert.falsified)
+    return QuadratureResult(value, b4, b5, n=hi, hypothesis_certified=certified)

@@ -238,7 +238,7 @@ def _reference_report(alpha_s, p, tol):
         IdentityCheck(name, dim, numeric[key], target, abs(numeric[key] - target))
         for name, (key, dim, target) in closed.items()
     )
-    return KernelIdentityReport(alpha_s, p, checks)
+    return KernelIdentityReport(checks)
 
 
 def _outcome(fn, *args):

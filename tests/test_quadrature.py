@@ -19,7 +19,7 @@ from hhkit.expr import (
     Interval,
     parse_function,
 )
-from hhkit.hhbounds import hh_gap
+from hhkit.hhbounds import hh_gap, verify_theorem
 from hhkit.kernels import gauss_legendre_01, kernel_constants
 from hhkit.quadrature import (
     BOUND_VARIANTS,
@@ -375,6 +375,32 @@ def test_uncertified_hypothesis_is_reported_when_allowed():
     assert abs(result.value - oracle) <= 1e-4  # the bound happens to hold anyway
 
 
+def test_guarantee_certifies_its_hypothesis_once_across_tolerances(monkeypatch):
+    calls = []
+    original = convexity.certify
+
+    def counting(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(convexity, "certify", counting)
+    # an expression no other test uses, so no earlier call has memoised it
+    f = parse_function("x^2 + exp(x)/5", UNIT)
+    coarse = integrate_with_guarantee(f, UNIT, 1e-2)
+    fine = integrate_with_guarantee(f, UNIT, 1e-4)
+    assert calls == [(ConvexityParams(1.0, 1.0, 1.0, "first"), quadrature.CERTIFY_GRID_N)]
+    assert coarse.hypothesis_certified is fine.hypothesis_certified is True
+
+
+def test_falsified_derivative_hypothesis_is_reported_by_bound_and_integrator():
+    # |f'| = 1.25 x^0.25 is concave, so the s = 1 class is falsified for both
+    f = parse_function("x^1.25", UNIT)
+    classic = ConvexityParams(1.0, 1.0, 1.0, "first")
+    assert verify_theorem("T1", f, UNIT, classic).hypothesis_certified is False
+    result = integrate_with_guarantee(f, UNIT, 1e-3, allow_uncertified=True)
+    assert result.hypothesis_certified is False
+
+
 def test_guarantee_validation_and_cap():
     f = parse_function("x", Interval(0.0, 3.0))
     with pytest.raises(ValueError):
@@ -603,10 +629,11 @@ def test_reference_accepts_plain_callables():
     assert abs(val - 0.25) <= 1e-10
 
 
-def test_reference_depth_cap_raises():
+def test_reference_depth_cap_raises(monkeypatch):
     # acceptance needs a minimum recursion depth, so an absurd cap cannot converge
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
     with pytest.raises(NonConvergenceError) as new:
-        reference_integrate(parse_function("exp(x)", UNIT), UNIT, max_depth=2)
+        reference_integrate(parse_function("exp(x)", UNIT), UNIT)
     with pytest.raises(NonConvergenceError) as old:
         _recursive_reference(parse_function("exp(x)", UNIT), UNIT, max_depth=2)
     assert str(new.value) == str(old.value)

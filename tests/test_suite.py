@@ -51,7 +51,7 @@ def _counted(fn, counts, key):
 def suite():
     quadrature.oracle_integral.cache_clear()
     hhbounds._averages.cache_clear()
-    hhbounds._hypothesis_certified.cache_clear()
+    convexity.hypothesis_certified.cache_clear()
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(convexity, "certify", _counted(convexity.certify, counts, "certify"))
@@ -87,8 +87,8 @@ def test_suite_elapsed_covers_the_run(suite):
 def test_suite_shares_certifications_and_oracle_integrals(suite):
     _, _, counts = suite
     # 15 classical sweeps, 240 theorem hypotheses (one per f, interval,
-    # params and q or none), 30 guarantee sweeps
-    assert counts["certify"] == 285
+    # params and q or none), 15 guarantee sweeps, one per (f, interval)
+    assert counts["certify"] == 270
     # 15 oracle integrals, 15 lemma line integrals, 30 guarantee cross-checks
     assert counts["reference"] == 60
 

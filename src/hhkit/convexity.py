@@ -100,7 +100,55 @@ def generalized_combination_rhs(
     return float(fc * f_at_x + sc * f_at_y_over_m)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise DomainError instead
+def _lattice_size(params: ConvexityParams, grid_n: int) -> int:
+    return grid_n ** (3 if params.m > 0.0 else 2)  # the y axis drops out at m = 0
+
+
+def _block_minima(f, interval: Interval, params: ConvexityParams, grid_n: int):
+    """certify's lattice walk: per block, in order, (margin, (x, y, mu), lhs, rhs)
+    at the block's first least margin.  certify states the blocks and errors."""
+    if grid_n < 2:
+        raise ValueError("grid_n must be at least 2")
+    size = _lattice_size(params, grid_n)
+    if size > MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"grid_n={grid_n} gives a lattice of {size} points, "
+            f"more than the cap of {MAX_LATTICE_POINTS}"
+        )
+
+    points = np.linspace(interval.a, interval.b, grid_n)
+    mus = np.linspace(0.0, 1.0, grid_n)
+    # non-finite values raise DomainError; errstate on a generator would cover only its creation
+    with np.errstate(over="ignore", invalid="ignore"):
+        fc, sc = combination_coefficients(params, mus)
+        MU, fc = mus[None, None, :], fc[None, None, :]
+        fx = np.asarray(f(points), dtype=float)
+        if params.m > 0.0:
+            fy = np.asarray(f(points / params.m), dtype=float)
+            ys = points
+        else:
+            fy = fx  # no f(y/m) term
+            ys = np.zeros(1)  # second term vanishes and the combination collapses to mu*x
+    if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
+        raise DomainError(_NOT_FINITE)
+    y_lhs = (1.0 - MU) * ys[None, :, None]
+    y_rhs = sc[None, None, :] * fy[None, :, None] if params.m > 0.0 else None
+
+    rows = max(1, BLOCK_POINTS // (len(ys) * grid_n))
+    for i0 in range(0, grid_n, rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = np.asarray(f(MU * points[i0 : i0 + rows, None, None] + y_lhs), dtype=float)
+            rhs = fc * fx[i0 : i0 + rows, None, None]
+            if y_rhs is not None:
+                rhs = rhs + y_rhs
+            margins = rhs - lhs
+        at = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        if not np.isfinite(margins[at]):
+            raise DomainError(_NOT_FINITE)
+        i, j, k = at
+        yield float(margins[at]), (points[i0 + i], ys[j], mus[k]), float(lhs[at]), float(rhs[at])
+
+
 def certify(
     f,
     interval: Interval,
@@ -118,81 +166,49 @@ def certify(
 
     The lattice is evaluated in blocks of whole x rows, at most BLOCK_POINTS
     points each (one row when a row is larger), visited in lexicographic
-    order.  Memory therefore grows as grid_n^2, not grid_n^3, and does not
-    depend on grid_n while a row fits in BLOCK_POINTS; time is still grid_n^3
-    evaluations of f, so a lattice of more than MAX_LATTICE_POINTS points is
-    refused with ValueError before f is evaluated.  Raises DomainError when f
-    is not finite at the grid points or a block's least margin is NaN or -inf;
-    a +inf margin cannot be a counterexample and passes.
+    order by the walk certify shares with hypothesis_certified.  Memory
+    therefore grows as grid_n^2, not grid_n^3, and does not depend on grid_n
+    while a row fits in BLOCK_POINTS; time is still grid_n^3 evaluations of f,
+    so a lattice of more than MAX_LATTICE_POINTS points is refused with
+    ValueError before f is evaluated.  Raises DomainError when f is not finite
+    at the grid points or a block's least margin is NaN or -inf; a +inf margin
+    cannot be a counterexample and passes.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
     if not tolerance >= 0.0:
         raise ValueError("tolerance must be non-negative")
-    size = grid_n**3 if params.m > 0.0 else grid_n**2
-    if size > MAX_LATTICE_POINTS:
-        raise ValueError(
-            f"grid_n={grid_n} gives a lattice of {size} points, "
-            f"more than the cap of {MAX_LATTICE_POINTS}"
-        )
-
-    points = np.linspace(interval.a, interval.b, grid_n)
-    mus = np.linspace(0.0, 1.0, grid_n)
-    fc, sc = combination_coefficients(params, mus)
-    MU, fc = mus[None, None, :], fc[None, None, :]
-
-    fx = np.asarray(f(points), dtype=float)
-    if params.m > 0.0:
-        fy = np.asarray(f(points / params.m), dtype=float)
-        ys = points
-    else:
-        fy = fx  # no f(y/m) term
-        ys = np.zeros(1)  # second term vanishes and the combination collapses to mu*x
-    if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
-        raise DomainError(_NOT_FINITE)
-    y_lhs = (1.0 - MU) * ys[None, :, None]
-    y_rhs = sc[None, None, :] * fy[None, :, None] if params.m > 0.0 else None
-
-    # blocks of whole x rows, in lexicographic order
-    row = len(ys) * grid_n
-    rows = max(1, BLOCK_POINTS // row)
-    worst = None  # (margin, (i, j, k), lhs, rhs): the first lattice point with the least margin
-    for i0 in range(0, grid_n, rows):
-        lhs = np.asarray(f(MU * points[i0 : i0 + rows, None, None] + y_lhs), dtype=float)
-        rhs = fc * fx[i0 : i0 + rows, None, None]
-        if y_rhs is not None:
-            rhs = rhs + y_rhs
-        margins = rhs - lhs
-        at = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        if not np.isfinite(margins[at]):
-            raise DomainError(_NOT_FINITE)
-        if worst is None or margins[at] < worst[0]:
-            i, j, k = (int(v) for v in at)
-            worst = (float(margins[at]), (i0 + i, j, k), float(lhs[at]), float(rhs[at]))
-
-    margin, (i, j, k), lhs, rhs = worst
+    blocks = _block_minima(f, interval, params, grid_n)
+    margin, (x, y, mu), lhs, rhs = min(blocks, key=lambda block: block[0])  # first of ties
     if margin < -tolerance:
-        cex = Counterexample(x=float(points[i]), y=float(ys[j]), mu=float(mus[k]), lhs=lhs, rhs=rhs)
+        cex = Counterexample(x=float(x), y=float(y), mu=float(mu), lhs=lhs, rhs=rhs)
         verdict = "falsified"
     else:
         cex = None
         verdict = "not_falsified"
 
     return CertificationReport(
-        samples_checked=grid_n * row,
+        samples_checked=_lattice_size(params, grid_n),
         worst_margin=margin,
         counterexample=cex,
         verdict=verdict,
     )
 
 
-@lru_cache(maxsize=256)
 def hypothesis_certified(
     f: FunctionSpec, q: Optional[float], interval: Interval, params: ConvexityParams, grid_n: int
 ) -> bool:
     """Whether |f'|^q (|f'| when q is None), the hypothesis of every bound,
-    survives certify in params' class taken in the first sense.  Memoised, so
-    T2, T3, T5 and T6 at one p share a sweep, T1 and T4 share one, and the
-    guaranteed integrator sweeps once per (f, interval, s) at any tol."""
-    first = ConvexityParams(params.s, params.alpha, params.m, "first")
-    return not certify(derivative_power(f, q), interval, first, grid_n).falsified
+    survives certify in params' class taken in the first sense.  That class
+    reads only alpha*s and m, so the sweep is memoised on (f, q, interval,
+    alpha*s, m, grid_n): T2, T3, T5 and T6 at one p share it, T1 and T4 share
+    one, and (s, alpha) = (0.5, 1) shares with (1, 0.5).  The sweep stops at
+    the first block with a margin below -DEFAULT_TOLERANCE, so a DomainError
+    that only a later block would raise is not reached: the hypothesis reads
+    as falsified, on a real lattice counterexample."""
+    first = ConvexityParams(1.0, params.alpha_s, params.m)
+    return _hypothesis_certified(f, q, interval, first, grid_n)
+
+
+@lru_cache(maxsize=256)
+def _hypothesis_certified(f, q, interval, first: ConvexityParams, grid_n: int) -> bool:
+    blocks = _block_minima(derivative_power(f, q), interval, first, grid_n)
+    return not any(block[0] < -DEFAULT_TOLERANCE for block in blocks)

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhkit import convexity
 from hhkit.convexity import (
@@ -20,9 +21,18 @@ from hhkit.convexity import (
     certify,
     combination_coefficients,
     generalized_combination_rhs,
+    hypothesis_certified,
 )
-from hhkit.corpus import DOMAIN, FUNCTION_TEXTS, corpus_functions
+from hhkit.corpus import (
+    DOMAIN,
+    FUNCTION_TEXTS,
+    HOLDER_PS,
+    INTERVALS,
+    PARAM_TRIPLES,
+    corpus_functions,
+)
 from hhkit.expr import DomainError, Interval, derivative_power, parse_function
+from hhkit.kernels import HolderExponents
 
 CLASSIC = ConvexityParams(1.0, 1.0, 1.0, "first")
 UNIT = Interval(0.0, 1.0)
@@ -357,3 +367,125 @@ def test_lattice_cap_counts_grid_squared_at_m_zero():
     report = certify(f, UNIT, ConvexityParams(1.0, 1.0, 0.0), grid_n=1025)
     assert report.samples_checked == 1025**2
     assert report.verdict == "not_falsified"
+
+
+# ---------------------------------------------------------------------------
+# the bounds' hypothesis check: the same verdict as certify, from fewer blocks
+
+
+def _certify_verdict(f, q, interval, params, grid_n):
+    first = ConvexityParams(params.s, params.alpha, params.m, "first")
+    return not certify(derivative_power(f, q), interval, first, grid_n).falsified
+
+
+def test_hypothesis_check_is_certify_on_every_corpus_hypothesis():
+    convexity._hypothesis_certified.cache_clear()
+    qs = [None] + [HolderExponents(p).q for p in HOLDER_PS]
+    verdicts = set()
+    for f in corpus_functions():
+        for iv in INTERVALS:
+            for params in PARAM_TRIPLES:
+                for q in qs:
+                    expected = _certify_verdict(f, q, iv, params, convexity.DEFAULT_GRID_N)
+                    got = hypothesis_certified(f, q, iv, params, convexity.DEFAULT_GRID_N)
+                    assert got == expected, (f.text, iv, params, q)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+_coefficients = st.sampled_from((-2.0, -0.5, 0.25, 1.0, 3.0))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    _coefficients,
+    st.integers(min_value=1, max_value=4),
+    _coefficients,
+    st.sampled_from((-1.0, 0.5, 2.0)),
+    st.sampled_from((0.0, 0.25, 0.5)),
+    st.sampled_from((0.5, 1.0)),
+    st.sampled_from((ConvexityParams(1.0, 1.0, 1.0), ConvexityParams(0.5, 1.0, 1.0),
+                     ConvexityParams(0.75, 0.5, 1.0), ConvexityParams(1.0, 0.5, 1.0, "second"))),
+    st.sampled_from((0.5, 0.75, 1.0)),
+    st.sampled_from((None, 2.0, 3.0)),
+)
+def test_hypothesis_check_is_certify_on_generated_functions(c1, k, c2, lam, a, width, triple, m, q):
+    iv = Interval(a, a + width)
+    f = parse_function(f"{c1!r}*x^{k} + {c2!r}*exp({lam!r}*x)", Interval(0.0, 3.0))  # holds b/m
+    params = ConvexityParams(triple.s, triple.alpha, m, triple.sense)
+    expected = _certify_verdict(f, q, iv, params, 30)
+    assert hypothesis_certified(f, q, iv, params, 30) == expected
+
+
+def _counting_hypotheses(monkeypatch):
+    """Patch the hypothesis builder so each evaluation's point count is recorded."""
+    sizes = []
+    power = convexity.derivative_power
+
+    def counting(f, q):
+        hyp = power(f, q)
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return hyp(x)
+
+        return counted
+
+    monkeypatch.setattr(convexity, "derivative_power", counting)
+    convexity._hypothesis_certified.cache_clear()
+    return sizes
+
+
+def test_falsified_hypothesis_stops_at_its_first_violating_block(monkeypatch):
+    sizes = _counting_hypotheses(monkeypatch)
+    f = parse_function("x^2", UNIT)
+    grid_n = convexity.DEFAULT_GRID_N
+    rows = convexity.BLOCK_POINTS // grid_n**2  # x rows per block
+    assert not hypothesis_certified(f, None, UNIT, ConvexityParams(0.5, 1.0, 1.0), grid_n)
+    # f at the grid and at grid/m, then the first block only
+    assert sizes == [grid_n, grid_n, rows * grid_n**2]
+    sizes.clear()
+    assert hypothesis_certified(f, None, UNIT, CLASSIC, grid_n)  # |f'| = 2x is convex
+    assert len(sizes) == 2 + math.ceil(grid_n / rows) and sum(sizes[2:]) == grid_n**3
+
+
+def test_equal_alpha_s_and_m_share_one_sweep():
+    convexity._hypothesis_certified.cache_clear()
+    iv = Interval(0.0, 1.5)
+    f = parse_function("x^4", Interval(0.0, 3.0))
+    for m in (0.5, 1.0):
+        a = hypothesis_certified(f, 2.0, iv, ConvexityParams(0.5, 1.0, m), 20)
+        b = hypothesis_certified(f, 2.0, iv, ConvexityParams(1.0, 0.5, m, "second"), 20)
+        assert a == b
+    info = convexity._hypothesis_certified.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+
+# On the 4-point lattice over [0, 1] with one x row per block, the point 8/9
+# first occurs in the row x = 2/3 and 1/9 in the row x = 0; a concave f has a
+# counterexample in the row x = 0 (x = 0, y = 1, mu = 1/3).
+@pytest.mark.parametrize(
+    "nan_at, concave, outcome",
+    [
+        (8 / 9, True, False),  # the error lies after the first violating block
+        (1 / 9, True, DomainError),  # the error lies in that block
+        (8 / 9, False, DomainError),  # no violating block before the error
+    ],
+)
+def test_hypothesis_check_raises_only_up_to_its_first_violating_block(
+    monkeypatch, nan_at, concave, outcome
+):
+    def hyp(t):
+        return np.where(np.abs(t - nan_at) < 0.05, np.nan, -(t**2) if concave else t**2)
+
+    monkeypatch.setattr(convexity, "derivative_power", lambda f, q: hyp)
+    monkeypatch.setattr(convexity, "BLOCK_POINTS", 16)
+    convexity._hypothesis_certified.cache_clear()
+    f = parse_function("x", UNIT)
+    with pytest.raises(DomainError, match="not finite on the certify lattice"):
+        certify(hyp, UNIT, CLASSIC, grid_n=4)  # certify reduces every block
+    if outcome is DomainError:
+        with pytest.raises(DomainError, match="not finite on the certify lattice"):
+            hypothesis_certified(f, None, UNIT, CLASSIC, 4)
+    else:
+        assert hypothesis_certified(f, None, UNIT, CLASSIC, 4) is outcome

@@ -230,13 +230,13 @@ def test_falsified_hypothesis_is_reported_not_raised():
 
 def test_verify_theorem_certifies_each_hypothesis_once(monkeypatch):
     calls = []
-    certify = convexity.certify
+    walk = convexity._block_minima
 
     def counting(*args, **kwargs):
         calls.append(args[3:])
-        return certify(*args, **kwargs)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(convexity, "certify", counting)
+    monkeypatch.setattr(convexity, "_block_minima", counting)
     # an expression no other test uses, so no earlier call has memoised it
     f = parse_function("x^2 + exp(x)/7", UNIT)
     reports = [verify_theorem(tid, f, UNIT, CLASSIC, HP2) for tid in ("T2", "T3", "T5", "T6")]

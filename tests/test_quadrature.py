@@ -377,13 +377,13 @@ def test_uncertified_hypothesis_is_reported_when_allowed():
 
 def test_guarantee_certifies_its_hypothesis_once_across_tolerances(monkeypatch):
     calls = []
-    original = convexity.certify
+    original = convexity._block_minima
 
     def counting(*args):
         calls.append(args[2:])
         return original(*args)
 
-    monkeypatch.setattr(convexity, "certify", counting)
+    monkeypatch.setattr(convexity, "_block_minima", counting)
     # an expression no other test uses, so no earlier call has memoised it
     f = parse_function("x^2 + exp(x)/5", UNIT)
     coarse = integrate_with_guarantee(f, UNIT, 1e-2)
@@ -779,6 +779,18 @@ def test_reference_refuses_runaway_refinement_fast_and_small():
         tracemalloc.stop()
     assert elapsed < 2.0, elapsed
     assert peak < 50e6, peak
+
+
+def test_oracle_stays_exact_on_large_integrals():
+    # ORACLE_TOL is absolute, so these integrals lie far above 1e-12/eps; Simpson
+    # is exact on constants and x^2, and the oracle must still return the value
+    big = Interval(0.0, 30.0)
+    constant = parse_function("5000", UNIT)
+    square = parse_function("x^2", big)
+    assert quadrature.oracle_integral(constant, UNIT) == 5000.0
+    assert hh_gap(constant, UNIT) == 0.0
+    assert quadrature.oracle_integral(square, big) == 9000.0
+    assert hh_gap(square, big) == 150.0
 
 
 def test_oracle_and_gap_agree_with_gauss_legendre_on_corpus():

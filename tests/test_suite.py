@@ -47,14 +47,26 @@ def _counted(fn, counts, key):
     return wrapper
 
 
+def _counted_walk(walk, counts):
+    """The lattice walk, counting sweeps and the blocks each one evaluates."""
+
+    def wrapper(*args, **kwargs):
+        counts["sweeps"] += 1
+        for block in walk(*args, **kwargs):
+            counts["blocks"] += 1
+            yield block
+
+    return wrapper
+
+
 @pytest.fixture(scope="module")
 def suite():
     quadrature.oracle_integral.cache_clear()
     hhbounds._averages.cache_clear()
-    convexity.hypothesis_certified.cache_clear()
+    convexity._hypothesis_certified.cache_clear()
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convexity, "certify", _counted(convexity.certify, counts, "certify"))
+        mp.setattr(convexity, "_block_minima", _counted_walk(convexity._block_minima, counts))
         ref = _counted(quadrature.reference_integrate, counts, "reference")
         mp.setattr(quadrature, "reference_integrate", ref)
         mp.setattr(hhbounds, "reference_integrate", ref)
@@ -86,9 +98,12 @@ def test_suite_elapsed_covers_the_run(suite):
 
 def test_suite_shares_certifications_and_oracle_integrals(suite):
     _, _, counts = suite
-    # 15 classical sweeps, 240 theorem hypotheses (one per f, interval,
-    # params and q or none), 15 guarantee sweeps, one per (f, interval)
-    assert counts["certify"] == 270
+    # 15 classical sweeps, 180 theorem hypotheses (one per f, interval,
+    # alpha*s, m and q or none; (0.5, 1, 1) and (1, 0.5, 1) share), 15
+    # guarantee sweeps, one per (f, interval)
+    assert counts["sweeps"] == 210
+    # a falsified hypothesis stops at its first violating block
+    assert counts["blocks"] == 433
     # 15 oracle integrals, 15 lemma line integrals, 30 guarantee cross-checks
     assert counts["reference"] == 60
 

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass
@@ -378,11 +379,12 @@ def _suite_convexity_and_classical(grid_n: int):
 
 
 def _suite_theorems(grid_n: int):
+    theorem_pairs = [(tid, hhbounds.holder_pairs(tid, corpus.HOLDER_PS)) for tid in THEOREM_IDS]
     for f in corpus.corpus_functions():
         for iv in corpus.INTERVALS:
             for prm in corpus.PARAM_TRIPLES:
-                for tid in THEOREM_IDS:
-                    for hp in hhbounds.holder_pairs(tid, corpus.HOLDER_PS):
+                for tid, hps in theorem_pairs:
+                    for hp in hps:
                         yield _verify_row(tid, f, iv, prm, hp, _SUITE_MARGIN_TOL, grid_n)
 
 
@@ -400,10 +402,10 @@ def _suite_lemma_identities():
                 yield "lemma_identity", inputs, value, res.signed_gap, margin, _verdict(margin)
 
 
-def _random_pairs(rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
+def _random_pairs(rng: random.Random, count: int) -> list[tuple[float, float]]:
     pairs = []
     while len(pairs) < count:
-        a, b = rng.uniform(1e-6, 100.0, size=2)
+        a, b = rng.uniform(1e-6, 100.0), rng.uniform(1e-6, 100.0)
         if a == b:
             continue
         pairs.append((min(a, b), max(a, b)))
@@ -411,7 +413,7 @@ def _random_pairs(rng: np.random.Generator, count: int) -> list[tuple[float, flo
 
 
 def _suite_means(seed: int):
-    pairs = _random_pairs(np.random.default_rng(seed), _SUITE_MEAN_PAIRS)
+    pairs = _random_pairs(random.Random(seed), _SUITE_MEAN_PAIRS)
 
     worst = min(min(means.mean_chain_margins(a, b)) for a, b in pairs)
     inputs = {"pairs": _SUITE_MEAN_PAIRS, "seed": seed}

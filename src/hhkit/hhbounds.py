@@ -99,13 +99,14 @@ def _hypothesis_q(theorem_id: str, hp: Optional[HolderExponents]) -> Optional[fl
     return hp.q
 
 
-def _endpoint_derivatives(
-    f: FunctionSpec, interval: Interval, params: ConvexityParams
-) -> tuple[float, float]:
-    if params.m == 0.0:
+@lru_cache(maxsize=256)
+def _endpoint_derivatives(f: FunctionSpec, interval: Interval, m: float) -> tuple[float, float]:
+    """(|f'(a)|, |f'(b/m)|), once per (f, interval, m) whatever the theorem,
+    alpha_s or p."""
+    if m == 0.0:
         raise ValueError("the bound formulas need m > 0 (they evaluate f' at b/m)")
     d1 = abs(f.derivative(interval.a))
-    d2 = abs(f.derivative(interval.b / params.m))
+    d2 = abs(f.derivative(interval.b / m))
     return d1, d2
 
 
@@ -118,7 +119,7 @@ def theorem_bound(
 ) -> float:
     """Closed-form value of the named bound; hp is required for T2/T3/T5/T6."""
     q = _hypothesis_q(theorem_id, hp)
-    d1, d2 = _endpoint_derivatives(f, interval, params)
+    d1, d2 = _endpoint_derivatives(f, interval, params.m)
     w, c, m = interval.width, params.alpha_s, params.m
     kc = kernels.kernel_constants(c, m)
 

@@ -14,7 +14,8 @@ verified at runtime to tight tolerance.  Both kernels have interior kinks
 a cubic change of variable to cluster nodes where t^c loses smoothness for
 small c.  Each numeric moment is memoised on the one exponent it depends on
 (alpha_s, p or none) and the node budget, never on the tolerance, so a sweep
-over alpha_s x p runs each quadrature once per exponent value.
+over alpha_s x p runs each quadrature once per exponent value; the pair
+quadratures' node arrays are built once per budget.
 """
 
 from __future__ import annotations
@@ -147,6 +148,38 @@ def _line_power(p: float, n: int) -> float:
     return total
 
 
+@lru_cache(maxsize=None)
+def _pair_panels(n_outer: int, n_inner: int, at_kink: bool) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(t, weight, |u - t|) on each panel of the unit square, read-only.
+
+    They depend only on the node budget, so every exponent shares them.
+    at_kink=False grades u toward 0 and clusters the left panel t in (0, u)
+    at t = 0, for _pair_moment; at_kink=True splits u at 1/2, grading toward
+    u = 0 and u = 1, and clusters both panels at t = u, for _pair_power.
+    """
+    ups, wups = gauss_legendre_01(n_outer)
+    eta, weta = gauss_legendre_01(n_inner)
+    cubic_inner = weta * 3.0 * eta**2
+    cubic_outer = wups * 3.0 * ups**2
+    if at_kink:
+        outer = ((0.5 * ups**3, 0.5 * cubic_outer), (1.0 - 0.5 * ups**3, 0.5 * cubic_outer))
+    else:
+        outer = ((ups**3, cubic_outer),)
+
+    panels = []
+    for u, wu in outer:
+        left = 1.0 - eta[None, :] ** 3 if at_kink else eta[None, :] ** 3
+        t_left = u[:, None] * left
+        w_left = wu[:, None] * cubic_inner[None, :] * u[:, None]
+        t_right = u[:, None] + (1.0 - u[:, None]) * eta[None, :] ** 3
+        w_right = wu[:, None] * cubic_inner[None, :] * (1.0 - u[:, None])
+        panels += [(t_left, w_left, u[:, None] - t_left), (t_right, w_right, t_right - u[:, None])]
+    for panel in panels:
+        for arr in panel:
+            arr.flags.writeable = False
+    return tuple(panels)
+
+
 def _pair_moment(
     profile: Callable[[np.ndarray], np.ndarray], n_outer: int, n_inner: int
 ) -> float:
@@ -154,24 +187,12 @@ def _pair_moment(
 
     The pair weight itself is piecewise linear, so the only delicate spot is
     the profile t^c near t = 0: the outer variable is graded toward u = 0 and
-    the inner panels use cubic maps that place t = 0 at a clustered endpoint.
+    the inner panels use cubic maps that place t = 0 at a clustered endpoint
+    (for u near 0 the right panel also clusters where the profile is singular).
     """
-    ups, wups = gauss_legendre_01(n_outer)
-    u = ups**3
-    wu = wups * 3.0 * ups**2
-    eta, weta = gauss_legendre_01(n_inner)
-    cubic_w = weta * 3.0 * eta**2
-
-    # left panel: t = u * eta^3 runs over (0, u), clustered at t = 0
-    t_left = u[:, None] * eta[None, :] ** 3
-    w_left = wu[:, None] * cubic_w[None, :] * u[:, None]
-    # right panel: t = u + (1 - u) * eta^3; for u near 0 this also clusters
-    # where the profile is singular
-    t_right = u[:, None] + (1.0 - u[:, None]) * eta[None, :] ** 3
-    w_right = wu[:, None] * cubic_w[None, :] * (1.0 - u[:, None])
-
-    total = np.sum(w_left * profile(t_left) * (u[:, None] - t_left))
-    total += np.sum(w_right * profile(t_right) * (t_right - u[:, None]))
+    total = 0.0
+    for t, w, dist in _pair_panels(n_outer, n_inner, False):
+        total += np.sum(w * profile(t) * dist)
     return float(total)
 
 
@@ -183,23 +204,9 @@ def _pair_power(p: float, n_outer: int, n_inner: int) -> float:
     non-smooth gets a cubic clustering map: the inner split clusters at t = u
     from both sides, the outer split clusters at u = 0 and u = 1.
     """
-    ups, wups = gauss_legendre_01(n_outer)
-    eta, weta = gauss_legendre_01(n_inner)
-    cubic_inner = weta * 3.0 * eta**2
-    cubic_outer = wups * 3.0 * ups**2
-
     total = 0.0
-    for u, wu in (
-        (0.5 * ups**3, 0.5 * cubic_outer),
-        (1.0 - 0.5 * ups**3, 0.5 * cubic_outer),
-    ):
-        # both inner panels cluster at the kink t = u
-        t_left = u[:, None] * (1.0 - eta[None, :] ** 3)
-        w_left = wu[:, None] * cubic_inner[None, :] * u[:, None]
-        t_right = u[:, None] + (1.0 - u[:, None]) * eta[None, :] ** 3
-        w_right = wu[:, None] * cubic_inner[None, :] * (1.0 - u[:, None])
-        total += np.sum(w_left * (u[:, None] - t_left) ** p)
-        total += np.sum(w_right * (t_right - u[:, None]) ** p)
+    for _, w, dist in _pair_panels(n_outer, n_inner, True):
+        total += np.sum(w * dist**p)
     return float(total)
 
 

@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from hhkit import cli, convexity, quadrature
+from hhkit import cli, convexity, hhbounds, quadrature
 from hhkit.convexity import ConvexityParams
 from hhkit.corpus import DOMAIN, INTERVALS, corpus_functions
-from hhkit.expr import Interval, parse_function
+from hhkit.expr import FunctionSpec, Interval, parse_function
 from hhkit.hhbounds import (
     THEOREM_IDS,
     classical_hh_check,
@@ -127,6 +127,30 @@ def test_m_zero_is_rejected_by_all_bounds():
         hp = None if tid in ("T1", "T4") else HP2
         with pytest.raises(ValueError, match="m > 0"):
             theorem_bound(tid, f, UNIT, prm, hp)
+
+
+def test_bound_differentiates_f_once_per_function_interval_and_m(monkeypatch):
+    points = []
+    derivative = FunctionSpec.derivative
+
+    def counting(self, x):
+        points.append(x)
+        return derivative(self, x)
+
+    monkeypatch.setattr(FunctionSpec, "derivative", counting)
+    hhbounds._endpoint_derivatives.cache_clear()
+    f = parse_function("exp(x)", Interval(0.0, 4.0))
+    iv = Interval(0.5, 1.0)
+    values = [
+        theorem_bound("T3", f, iv, ConvexityParams(s, alpha, 0.5, "first"), HP2)
+        for s, alpha in ((1.0, 1.0), (0.5, 0.8))
+    ]
+    assert points == [0.5, 2.0]  # f'(a) and f'(b/m), shared by both (s, alpha)
+    assert values[0] != values[1]
+    for _ in range(2):  # an error is raised again, not memoised
+        with pytest.raises(ValueError) as exc:
+            theorem_bound("T1", f, iv, ConvexityParams(1.0, 1.0, 0.0, "first"))
+        assert str(exc.value) == "the bound formulas need m > 0 (they evaluate f' at b/m)"
 
 
 def test_unknown_theorem_id_rejected():

@@ -285,6 +285,65 @@ def test_suite_sweep_runs_each_moment_once_per_exponent(monkeypatch):
         kernels._moment.cache_clear()
 
 
+def _fresh_pair_moment(profile, n_outer, n_inner):
+    """_pair_moment with its nodes built from leggauss on every call, as
+    before they were shared."""
+    x, w = np.polynomial.legendre.leggauss(n_outer)
+    ups, wups = (x + 1.0) / 2.0, w / 2.0
+    x, w = np.polynomial.legendre.leggauss(n_inner)
+    eta, weta = (x + 1.0) / 2.0, w / 2.0
+    u = ups**3
+    wu = wups * 3.0 * ups**2
+    cubic_w = weta * 3.0 * eta**2
+    t_left = u[:, None] * eta[None, :] ** 3
+    w_left = wu[:, None] * cubic_w[None, :] * u[:, None]
+    t_right = u[:, None] + (1.0 - u[:, None]) * eta[None, :] ** 3
+    w_right = wu[:, None] * cubic_w[None, :] * (1.0 - u[:, None])
+    total = np.sum(w_left * profile(t_left) * (u[:, None] - t_left))
+    total += np.sum(w_right * profile(t_right) * (t_right - u[:, None]))
+    return float(total)
+
+
+def _fresh_pair_power(p, n_outer, n_inner):
+    """_pair_power with its nodes built from leggauss on every call."""
+    x, w = np.polynomial.legendre.leggauss(n_outer)
+    ups, wups = (x + 1.0) / 2.0, w / 2.0
+    x, w = np.polynomial.legendre.leggauss(n_inner)
+    eta, weta = (x + 1.0) / 2.0, w / 2.0
+    cubic_inner = weta * 3.0 * eta**2
+    cubic_outer = wups * 3.0 * ups**2
+    total = 0.0
+    for u, wu in (
+        (0.5 * ups**3, 0.5 * cubic_outer),
+        (1.0 - 0.5 * ups**3, 0.5 * cubic_outer),
+    ):
+        t_left = u[:, None] * (1.0 - eta[None, :] ** 3)
+        w_left = wu[:, None] * cubic_inner[None, :] * u[:, None]
+        t_right = u[:, None] + (1.0 - u[:, None]) * eta[None, :] ** 3
+        w_right = wu[:, None] * cubic_inner[None, :] * (1.0 - u[:, None])
+        total += np.sum(w_left * (u[:, None] - t_left) ** p)
+        total += np.sum(w_right * (t_right - u[:, None]) ** p)
+    return float(total)
+
+
+@pytest.mark.parametrize("nodes", [_NODES, _NODES_CHECK])
+def test_shared_pair_nodes_give_the_bits_of_fresh_nodes(nodes):
+    for c in ALPHA_S_GRID:
+        for profile in (lambda t: t**c, lambda t: 1.0 - t**c):
+            assert _pair_moment(profile, *nodes) == _fresh_pair_moment(profile, *nodes), c
+    assert _pair_moment(np.ones_like, *nodes) == _fresh_pair_moment(np.ones_like, *nodes)
+    for p in HOLDER_PS:
+        assert _pair_power(p, *nodes) == _fresh_pair_power(p, *nodes), p
+
+
+@pytest.mark.parametrize("at_kink", [False, True])
+def test_shared_pair_nodes_are_read_only(at_kink):
+    for panel in kernels._pair_panels(*_NODES, at_kink):
+        for arr in panel:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.5
+
+
 @pytest.mark.parametrize(
     "alpha_s, p, message",
     [

@@ -1,18 +1,25 @@
 """The corpus suite as a whole: its record table, its timings and its work.
 
 One cold run_suite() per module (the memo caches are cleared first), with
-the certification and oracle entry points counted.
+the certification and oracle entry points and the bounds' endpoint
+derivatives counted.
 """
 
 import collections
 import hashlib
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import hhkit
 from hhkit import cli, convexity, hhbounds, quadrature
+from hhkit.expr import FunctionSpec
 
 # (kind, verdict) counts of the 1809 suite records
 SUITE_VERDICTS = {
@@ -32,7 +39,7 @@ SUITE_VERDICTS = {
 
 # SHA-256 of the `hhkit suite --format json` output with elapsed_ms masked, the
 # reference behaviour; the same literal and masking as perfbench/run.py
-SUITE_REFERENCE_DIGEST = "4498808a48f4513572fa2a13ae05fc5bff7a2a9adf19053070e6fbc59640611a"
+SUITE_REFERENCE_DIGEST = "a259dfa9b906b04161975848b032b75ddcecf7be7ed962146686d638f5b61d78"
 
 VERIFY_KEYS = [
     "theorem", "function", "a", "b", "s", "alpha", "m", "sense", "hypothesis_certified",
@@ -59,13 +66,38 @@ def _counted_walk(walk, counts):
     return wrapper
 
 
+def _counted_endpoint_derivatives(counts):
+    """theorem_bound, and f' counting the scalar points it is called at from
+    inside theorem_bound."""
+    bounding = []
+    theorem_bound, derivative = hhbounds.theorem_bound, FunctionSpec.derivative
+
+    def bound(*args, **kwargs):
+        bounding.append(True)
+        try:
+            return theorem_bound(*args, **kwargs)
+        finally:
+            bounding.pop()
+
+    def counted_derivative(self, x):
+        if bounding and np.ndim(x) == 0:
+            counts["endpoint_derivatives"] += 1
+        return derivative(self, x)
+
+    return bound, counted_derivative
+
+
 @pytest.fixture(scope="module")
 def suite():
     quadrature.oracle_integral.cache_clear()
     hhbounds._averages.cache_clear()
+    hhbounds._endpoint_derivatives.cache_clear()
     convexity._hypothesis_certified.cache_clear()
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
+        bound, derivative = _counted_endpoint_derivatives(counts)
+        mp.setattr(hhbounds, "theorem_bound", bound)
+        mp.setattr(FunctionSpec, "derivative", derivative)
         mp.setattr(convexity, "_block_minima", _counted_walk(convexity._block_minima, counts))
         ref = _counted(quadrature.reference_integrate, counts, "reference")
         mp.setattr(quadrature, "reference_integrate", ref)
@@ -106,6 +138,25 @@ def test_suite_shares_certifications_and_oracle_integrals(suite):
     assert counts["blocks"] == 433
     # 15 oracle integrals, 15 lemma line integrals, 30 guarantee cross-checks
     assert counts["reference"] == 60
+    # |f'(a)| and |f'(b/m)| once per (f, interval, m): 15 (f, interval) x 2 m
+    assert counts["endpoint_derivatives"] == 30
+
+
+def test_cold_suite_does_not_import_numpy_random():
+    src = str(pathlib.Path(hhkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys; from hhkit import cli; cli.run_suite(); "
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == ["True", "False"]
 
 
 @pytest.mark.skipif(

@@ -380,6 +380,7 @@ def _suite_convexity_and_classical(grid_n: int):
 
 def _suite_theorems(grid_n: int):
     theorem_pairs = [(tid, hhbounds.holder_pairs(tid, corpus.HOLDER_PS)) for tid in THEOREM_IDS]
+    # (f, interval) outermost: hypothesis sweeps share |f'| blocks only with the last lattice swept
     for f in corpus.corpus_functions():
         for iv in corpus.INTERVALS:
             for prm in corpus.PARAM_TRIPLES:

@@ -106,7 +106,9 @@ def _lattice_size(params: ConvexityParams, grid_n: int) -> int:
 
 def _block_minima(f, interval: Interval, params: ConvexityParams, grid_n: int):
     """certify's lattice walk: per block, in order, (margin, (x, y, mu), lhs, rhs)
-    at the block's first least margin.  certify states the blocks and errors."""
+    at the block's first least margin.  certify states the blocks and errors.
+    A _SweptHypothesis reads its blocks through on_block; any other f is
+    evaluated at the block's points z."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     size = _lattice_size(params, grid_n)
@@ -135,10 +137,13 @@ def _block_minima(f, interval: Interval, params: ConvexityParams, grid_n: int):
     y_rhs = sc[None, None, :] * fy[None, :, None] if params.m > 0.0 else None
 
     rows = max(1, BLOCK_POINTS // (len(ys) * grid_n))
+    swept = isinstance(f, _SweptHypothesis)
     for i0 in range(0, grid_n, rows):
+        block = slice(i0, i0 + rows)
+        z = lambda: MU * points[block, None, None] + y_lhs  # noqa: E731
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs = np.asarray(f(MU * points[i0 : i0 + rows, None, None] + y_lhs), dtype=float)
-            rhs = fc * fx[i0 : i0 + rows, None, None]
+            lhs = np.asarray(f.on_block(block, z) if swept else f(z()), dtype=float)
+            rhs = fc * fx[block, None, None]
             if y_rhs is not None:
                 rhs = rhs + y_rhs
             margins = rhs - lhs
@@ -203,12 +208,67 @@ def hypothesis_certified(
     one, and (s, alpha) = (0.5, 1) shares with (1, 0.5).  The sweep stops at
     the first block with a margin below -DEFAULT_TOLERANCE, so a DomainError
     that only a later block would raise is not reached: the hypothesis reads
-    as falsified, on a real lattice counterexample."""
+    as falsified, on a real lattice counterexample.
+
+    The lattice points z depend only on (interval, grid_n) and whether the y
+    axis exists (m > 0), so sweeps over one (f, interval, grid_n) share their
+    blocks of |f'(z)|, and each sweep only raises them to q and applies its
+    class.  The blocks of the last lattice swept are kept while it has at most
+    4*BLOCK_POINTS points (1 MiB of float64; the default grid 50 fits), so
+    sweeps share them when they come in order of (f, interval); a larger
+    lattice is evaluated afresh by every sweep.  Errors are not kept, and every
+    margin is bitwise the one certify computes on |f'|^q."""
     first = ConvexityParams(1.0, params.alpha_s, params.m)
     return _hypothesis_certified(f, q, interval, first, grid_n)
 
 
 @lru_cache(maxsize=256)
 def _hypothesis_certified(f, q, interval, first: ConvexityParams, grid_n: int) -> bool:
-    blocks = _block_minima(derivative_power(f, q), interval, first, grid_n)
+    blocks = _block_minima(_SweptHypothesis(f, q, interval, first, grid_n), interval, first, grid_n)
     return not any(block[0] < -DEFAULT_TOLERANCE for block in blocks)
+
+
+# |f'| on the blocks of the one lattice kept: {(f, interval, grid_n, has_y): {(start, stop): values}}
+_shared_blocks: dict = {}
+
+
+class _SweptHypothesis:
+    """|f'|^q for one hypothesis sweep: evaluated directly at the grid points,
+    and on a lattice block as the block's |f'(z)|, raised to q.  Both come from
+    derivative_power.  The |f'| blocks are kept in _shared_blocks for the next
+    sweep of the same lattice while it has at most 4*BLOCK_POINTS points."""
+
+    def __init__(self, f, q, interval: Interval, params: ConvexityParams, grid_n: int):
+        self.power = derivative_power(f, q)
+        self.abs_derivative = derivative_power(f, None)
+        self.q = q
+        lattice = (f, interval, grid_n, params.m > 0.0)
+        if lattice not in _shared_blocks:
+            _shared_blocks.clear()
+            if _lattice_size(params, grid_n) <= 4 * BLOCK_POINTS:
+                _shared_blocks[lattice] = {}
+        self.kept = _shared_blocks.get(lattice)
+
+    def __call__(self, x):
+        return self.power(x)
+
+    def on_block(self, block: slice, z):
+        key = (block.start, block.stop)
+        if self.kept is None:
+            values = self.abs_derivative(z())
+        elif key in self.kept:
+            values = self.kept[key]
+        else:
+            values = np.asarray(self.abs_derivative(z()), dtype=float)
+            values.flags.writeable = False
+            self.kept[key] = values
+        return values if self.q is None else values**self.q
+
+
+def _clear_sweeps() -> None:
+    """_hypothesis_certified.cache_clear: the memoised verdicts and the kept |f'| blocks."""
+    _clear_verdicts()
+    _shared_blocks.clear()
+
+
+_clear_verdicts, _hypothesis_certified.cache_clear = _hypothesis_certified.cache_clear, _clear_sweeps

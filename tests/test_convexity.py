@@ -445,6 +445,7 @@ def test_falsified_hypothesis_stops_at_its_first_violating_block(monkeypatch):
     # f at the grid and at grid/m, then the first block only
     assert sizes == [grid_n, grid_n, rows * grid_n**2]
     sizes.clear()
+    convexity._hypothesis_certified.cache_clear()  # also drops the |f'| blocks the first sweep kept
     assert hypothesis_certified(f, None, UNIT, CLASSIC, grid_n)  # |f'| = 2x is convex
     assert len(sizes) == 2 + math.ceil(grid_n / rows) and sum(sizes[2:]) == grid_n**3
 
@@ -459,6 +460,94 @@ def test_equal_alpha_s_and_m_share_one_sweep():
         assert a == b
     info = convexity._hypothesis_certified.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+
+def _recording_walk(monkeypatch):
+    """Patch the lattice walk so each block a sweep reads is recorded."""
+    seen = []
+    walk = convexity._block_minima
+
+    def recording(*args):
+        for block in walk(*args):
+            seen.append(block)
+            yield block
+
+    monkeypatch.setattr(convexity, "_block_minima", recording)
+    return seen
+
+
+def test_shared_blocks_give_the_margins_of_a_cold_sweep_bit_for_bit(monkeypatch):
+    seen = _recording_walk(monkeypatch)
+    cases = [
+        (f, iv, q, ConvexityParams(1.0, alpha_s, m))
+        for f in corpus_functions()
+        for iv in INTERVALS
+        for m in (0.5, 0.75, 1.0)
+        if iv.b / m <= DOMAIN.b
+        for alpha_s in (1.0, 0.5, 0.375)
+        for q in (None, 3.0, 2.0, 1.5)
+    ]
+
+    def sweep(f, iv, q, params):
+        seen.clear()
+        got = hypothesis_certified(f, q, iv, params, convexity.DEFAULT_GRID_N)
+        return got, repr(seen)  # repr tells -0.0 from 0.0
+
+    convexity._hypothesis_certified.cache_clear()
+    warm = [sweep(*case) for case in cases]  # each lattice's first sweep fills its blocks
+    for case, shared in zip(cases, warm):
+        convexity._hypothesis_certified.cache_clear()
+        assert shared == sweep(*case), case
+    assert {got for got, _ in warm} == {True, False}
+
+
+def test_a_shared_block_is_the_hypothesis_at_the_block_points():
+    convexity._hypothesis_certified.cache_clear()
+    f, iv, grid_n = parse_function("x^4", DOMAIN), Interval(0.0, 2.0), convexity.DEFAULT_GRID_N
+    assert hypothesis_certified(f, None, iv, CLASSIC, grid_n)  # |f'| = 4x^3 is convex: every block
+    kept = convexity._shared_blocks[(f, iv, grid_n, True)]
+    rows = convexity.BLOCK_POINTS // grid_n**2
+    assert list(kept) == [(i0, i0 + rows) for i0 in range(0, grid_n, rows)]
+    points, MU = np.linspace(iv.a, iv.b, grid_n), np.linspace(0.0, 1.0, grid_n)[None, None, :]
+    for (start, stop), block in kept.items():
+        assert not block.flags.writeable
+        z = MU * points[start:stop, None, None] + (1.0 - MU) * points[None, :, None]
+        for q in (None, 3.0, 2.0, 1.5):
+            assert np.all((block if q is None else block**q) == derivative_power(f, q)(z))
+
+
+def test_lattices_of_one_function_on_other_intervals_or_grids_share_no_block(monkeypatch):
+    sizes = _counting_hypotheses(monkeypatch)
+    f = parse_function("exp(x)", DOMAIN)  # |f'|^2 = exp(2x) is convex: every block is swept
+    # grids 50 and 49 both cut their lattice into blocks of 13 x rows
+    for iv, grid_n in ((Interval(0.0, 1.0), 50), (Interval(1.0, 3.0), 50), (Interval(1.0, 3.0), 49)):
+        sizes.clear()
+        assert hypothesis_certified(f, 2.0, iv, CLASSIC, grid_n)
+        assert sum(sizes[2:]) == grid_n**3  # evaluated afresh, not read from the last lattice
+
+
+def test_a_lattice_past_the_kept_size_is_swept_in_flat_memory():
+    convexity._hypothesis_certified.cache_clear()
+    f = parse_function("exp(x)", UNIT)
+    tracemalloc.start()
+    try:
+        assert hypothesis_certified(f, None, UNIT, CLASSIC, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # kept, the 8M-point lattice's |f'| blocks would take 64 MB
+    assert convexity._shared_blocks == {}
+
+
+def test_a_derivative_error_inside_a_block_is_raised_again_by_the_next_sweep(monkeypatch):
+    sizes = _counting_hypotheses(monkeypatch)
+    # f' is undefined at 1/4: a lattice point (x = 0, y = 1/2, mu = 1/2), not a grid point
+    f = parse_function("abs(x - 0.25)^0.5", UNIT)
+    for q in (None, 2.0):
+        sizes.clear()
+        with pytest.raises(DomainError, match="undefined"):
+            hypothesis_certified(f, q, UNIT, CLASSIC, 3)
+        assert sizes == [3, 3, 27]  # the block is evaluated again, its error not kept
 
 
 # On the 4-point lattice over [0, 1] with one x row per block, the point 8/9

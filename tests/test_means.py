@@ -4,6 +4,7 @@ Frozen decimals are 50-digit mpmath evaluations of the closed forms.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -174,6 +175,17 @@ def test_extended_branches_agree_with_named_means():
         assert math.isclose(
             extended_p_logarithmic(a, b, -1.0), _mean("logarithmic", a, b), rel_tol=1e-12
         )
+
+
+def test_extended_branches_match_independent_references_on_the_suite_pairs():
+    # the suite's mean_branch row checks p = 1 only; here p = -1 and p = 0 are
+    # checked against their textbook closed forms, on the same 25 pairs
+    pairs = cli._random_pairs(random.Random(0), cli._SUITE_MEAN_PAIRS)[:25]
+    for a, b in pairs:
+        logarithmic = (b - a) / (math.log(b) - math.log(a))
+        identric = math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
+        assert math.isclose(extended_p_logarithmic(a, b, -1.0), logarithmic, rel_tol=1e-13)
+        assert math.isclose(extended_p_logarithmic(a, b, 0.0), identric, rel_tol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def _counted_walk(walk, counts):
 
 def _counted_endpoint_derivatives(counts):
     """theorem_bound, and f' counting the scalar points it is called at from
-    inside theorem_bound."""
+    inside theorem_bound and the 3-D lattice blocks it is called on."""
     bounding = []
     theorem_bound, derivative = hhbounds.theorem_bound, FunctionSpec.derivative
 
@@ -82,6 +82,8 @@ def _counted_endpoint_derivatives(counts):
     def counted_derivative(self, x):
         if bounding and np.ndim(x) == 0:
             counts["endpoint_derivatives"] += 1
+        if np.ndim(x) == 3:
+            counts["lattice_derivatives"] += 1
         return derivative(self, x)
 
     return bound, counted_derivative
@@ -92,7 +94,7 @@ def suite():
     quadrature.oracle_integral.cache_clear()
     hhbounds._averages.cache_clear()
     hhbounds._endpoint_derivatives.cache_clear()
-    convexity._hypothesis_certified.cache_clear()
+    convexity._hypothesis_certified.cache_clear()  # and the |f'| lattice blocks it keeps
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
         bound, derivative = _counted_endpoint_derivatives(counts)
@@ -140,6 +142,14 @@ def test_suite_shares_certifications_and_oracle_integrals(suite):
     assert counts["reference"] == 60
     # |f'(a)| and |f'(b/m)| once per (f, interval, m): 15 (f, interval) x 2 m
     assert counts["endpoint_derivatives"] == 30
+
+
+def test_suite_hypothesis_sweeps_share_their_derivative_blocks(suite):
+    _, _, counts = suite
+    # f' once per block of each lattice: the 12 theorem hypothesis sweeps of
+    # an (f, interval) read the 4 blocks of one grid-50 lattice, and the
+    # guarantee sweeps one grid-30 block; 15 (f, interval) x (4 + 1)
+    assert counts["lattice_derivatives"] == 75
 
 
 def test_cold_suite_does_not_import_numpy_random():

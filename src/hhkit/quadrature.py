@@ -133,14 +133,25 @@ def _blocked_sums(n: int, terms) -> list[float]:
     return [float(total) for total in walk(0, n)]
 
 
-def _trapezoid_terms(pts: np.ndarray, vals) -> np.ndarray:
+def _trapezoid_terms(dx: np.ndarray, vals) -> np.ndarray:
+    """dx * (vals[:-1] + vals[1:]) / 2.0 for panel widths dx, bit for bit, in
+    one new array."""
     vals = np.asarray(vals, dtype=float)
-    return np.diff(pts) * (vals[:-1] + vals[1:]) / 2.0
+    terms = vals[:-1] + vals[1:]
+    terms *= dx
+    terms /= 2.0
+    return terms
 
 
-def _panel_terms(pts: np.ndarray, derivative) -> np.ndarray:
+def _panel_terms(dx: np.ndarray, derivative) -> np.ndarray:
+    """dx ** 2 / 2.0 * (d[:-1] + d[1:]) for d = |derivative|, bit for bit, in
+    two new arrays; dx is overwritten with dx ** 2 / 2.0."""
     d = np.abs(np.asarray(derivative, dtype=float))
-    return np.diff(pts) ** 2 / 2.0 * (d[:-1] + d[1:])
+    terms = d[:-1] + d[1:]
+    dx *= dx
+    dx /= 2.0
+    terms *= dx
+    return terms
 
 
 def _partition_sum(partition: Partition, terms) -> float:
@@ -158,7 +169,7 @@ def trapezoid_sum(f, partition: Partition) -> float:
     the leftmost slice's, not necessarily the first that a call on all the
     points would raise.
     """
-    return _partition_sum(partition, lambda pts: _trapezoid_terms(pts, f(pts)))
+    return _partition_sum(partition, lambda pts: _trapezoid_terms(np.diff(pts), f(pts)))
 
 
 def trapezoid_error_bound(
@@ -170,7 +181,7 @@ def trapezoid_error_bound(
     trapezoid_sum, so it must act pointwise, and of errors in two slices
     the leftmost slice's is raised.
     """
-    panel = _partition_sum(partition, lambda pts: _panel_terms(pts, f.derivative(pts)))
+    panel = _partition_sum(partition, lambda pts: _panel_terms(np.diff(pts), f.derivative(pts)))
     return bound_constant(variant, s, p) * panel
 
 
@@ -296,13 +307,29 @@ def oracle_integral(f: FunctionSpec, interval: Interval) -> float:
 # The same pass gives a lower bound on that n.  The certified class (s, 1, 1,
 # first) at mu = 1/2, added to itself with x and y swapped, makes |f'| midpoint
 # convex, hence convex, |f'| being continuous.  The Hermite-Hadamard inequalities
-# then give M <= V <= T_n for the midpoint sum M on any uniform grid, so
-# B(n) <= tol needs n >= C * w * T_n / tol >= C * w * M / tol.  The search takes
-# every n below that bound as failing, after shrinking it by ROUNDING_SLACK, far
-# more than the rounding error of either floating-point sum.
+# then give M_k <= V <= T_n for the midpoint sum M_k on any uniform grid of k
+# panels, so B(n) <= tol needs n >= C * w * T_n / tol >= C * w * M_k / tol.  The
+# search takes every n below that bound as failing, after shrinking it by
+# ROUNDING_SLACK.
+#
+# At k = PREDICT_PANELS the bound usually falls short of n0 - 1, for the first
+# trial n0 = ceil(C * w * V / tol), so proving B(n0 - 1) > tol would take a
+# second full pass.  The shortfall C * w * (V - M_k) / tol falls as 1 / k^2 for
+# smooth |f'|, so scaling the prediction pass's own shortfall gives the k that
+# leaves it at most half of the margin C * w * V / tol - (n0 - 1).  One more
+# midpoint sum of k panels, on at most BLOCK_POINTS + 1 points and costing at
+# most a sixteenth of the pass it saves, then usually proves n >= n0, and the
+# search confirms n0 with one full pass.
 
 PREDICT_PANELS = 1024  # the prediction pass samples |f'| on 2 * PREDICT_PANELS panels
 
+# The refined bound can decide n to ~0.01 panel, so the slack must cover its
+# rounding, not just be small beside a panel.  Both sides of M_k <= T_n are
+# float sums of f' values: np.sum's pairwise sums of up to N_CAP terms err by
+# at most ~log2(N_CAP) * 2^-53 < 3e-15 relative, each f' value by a few ulp of
+# the libm calls behind it, and the products with C, w and 1 / tol by a few ulp
+# more.  1e-12 relative covers all of them ~100 times over and costs at most
+# N_CAP * 1e-12 < 2e-5 panel of the bound.
 ROUNDING_SLACK = 1e-12
 
 
@@ -329,18 +356,24 @@ def _uniform_pass(f, interval: Interval, n: int, constants) -> tuple[float, floa
     def terms(lo: int, hi: int):
         pts = _uniform_points(interval, n, lo, hi)
         fd = f.eval_with_derivative(pts)
-        return _trapezoid_terms(pts, fd.value), _panel_terms(pts, fd.derivative)
+        dx = np.diff(pts)
+        # _panel_terms overwrites dx, so it comes second
+        return _trapezoid_terms(dx, fd.value), _panel_terms(dx, fd.derivative)
 
     value, panel = _blocked_sums(n, terms)
     return value, constants[0] * panel, constants[1] * panel
 
 
-def _predict_n(f, interval: Interval, tol: float, c: float) -> tuple[float, float]:
-    """(C * w * M / tol, C * w * V / tol) from one pass of |f'| on 2 * PREDICT_PANELS
-    panels, C = c: M is the midpoint sum over PREDICT_PANELS panels, V the
-    trapezoid sums over both panel counts, Richardson-extrapolated."""
+def _predict_n(
+    f, interval: Interval, tol: float, c: float, panels: int = PREDICT_PANELS
+) -> tuple[float, float]:
+    """(C * w * M / tol, C * w * V / tol) from one evaluation of |f'| on 2 * panels
+    uniform panels, C = c: M is the midpoint sum over panels panels, V the
+    trapezoid sums over both panel counts, Richardson-extrapolated.  The
+    prediction pass calls it at PREDICT_PANELS, the refined lower bound at
+    more panels, reading only M."""
     w = interval.b - interval.a
-    m = PREDICT_PANELS
+    m = panels
     pts = np.linspace(interval.a, interval.b, 2 * m + 1)
     d = np.abs(np.asarray(f.derivative(pts), dtype=float))
     ends = (d[0] + d[-1]) / 2.0
@@ -365,18 +398,24 @@ def integrate_with_guarantee(
 
     One pass over 2 * PREDICT_PANELS panels estimates V = integral of |f'| and
     predicts n0 = max(1, ceil(C * w * V / tol)).  With a certified hypothesis
-    the same pass proves B(n) > tol for every n below a lower bound (see the
-    note above _uniform_pass).  The bound then confirms a bracket
+    the same pass proves B(n) > tol for every n below a lower bound, and when
+    that bound leaves n0 - 1 open, one midpoint sum of |f'| on up to
+    convexity.BLOCK_POINTS panels refines it, usually past n0 - 1 (see the
+    note above PREDICT_PANELS).  The bound then confirms a bracket
     B(n) <= tol < B(n - 1): from n0 the search steps away from the side it
     knows by 1, 2, 4, ... panels and bisects once both sides are known, the
     lower side being known from the start when the lower bound exists.  An
-    accurate prediction needs one or two full passes, a poor one O(log n),
-    and no pass is repeated.  A pass evaluates f and f' together, once, in
-    blocks of at most convexity.BLOCK_POINTS panels, so its memory does not
+    accurate prediction usually needs one full pass, at n0, and a poor one
+    O(log n); no pass is repeated.  A pass evaluates f and f' together, once,
+    in blocks of at most convexity.BLOCK_POINTS panels, so its memory does not
     grow with n; the result reuses the confirming pass for its value as for
     its bounds.  The returned n is the smallest with B(n) <= tol, given that
-    B is nonincreasing in n.  If f' is undefined at a point of the prediction
-    grid (a kink), the search starts from n0 = 1.
+    B is nonincreasing in n and, where the lower bound excluded the n below
+    it, that the sampled |f'| hypothesis holds: a hypothesis that
+    certify's lattice certified but |f'| breaks between its points can make
+    the returned n too large.  If f' is undefined at a point of the
+    prediction grid (a kink), the search starts from n0 = 1; at a point of
+    the refinement grid, the refinement is skipped.
 
     NonConvergenceError is raised when that n exceeds n_cap, and only then.
     A request whose lower bound exceeds n_cap is refused before any full
@@ -404,23 +443,39 @@ def integrate_with_guarantee(
         )
 
     constants = bound_constant("P4", s, p), bound_constant("P5", s, p)
-    least, predicted = 1, 1.0  # every n < least fails
+    c = min(constants)
     try:
-        lower, predicted = _predict_n(f, interval, tol, min(constants))
-    except DomainError:
-        pass  # f' is undefined at a point of the prediction grid
-    else:
-        if certified:
-            lower *= 1.0 - ROUNDING_SLACK
-            if lower > n_cap:
-                raise NonConvergenceError(
-                    f"tol {tol:.3e} needs a predicted n = {predicted:.0f} panels "
-                    f"(at least {lower:.0f}), past n_cap = {n_cap}"
-                )
-            least = max(1, math.ceil(lower))
+        lower, predicted = _predict_n(f, interval, tol, c)
+    except DomainError:  # f' is undefined at a point of the prediction grid
+        lower, predicted = 0.0, 1.0
+    # the midpoint sum bounds nothing without the hypothesis
+    lower = lower * (1.0 - ROUNDING_SLACK) if certified else 0.0
 
-    lo, hi = least - 1, None  # B(lo) > tol (lo = 0: no panels) and B(hi) <= tol
-    n, step = max(least, math.ceil(min(predicted, n_cap))), 1
+    def least_above(bound: float) -> int:
+        """The least n that a lower bound C * w * M / tol, shrunk, leaves open."""
+        if bound > n_cap:
+            raise NonConvergenceError(
+                f"tol {tol:.3e} needs a predicted n = {predicted:.0f} panels "
+                f"(at least {bound:.0f}), past n_cap = {n_cap}"
+            )
+        return max(1, math.ceil(bound))
+
+    least = least_above(lower)  # every n < least fails
+    n = max(least, math.ceil(min(predicted, n_cap)))  # the first trial
+    if least < n and math.isfinite(predicted):
+        # the refined lower bound (see the note above PREDICT_PANELS)
+        ratio = (predicted - lower) / (predicted - (n - 1))  # shortfall over margin
+        panels = math.ceil(PREDICT_PANELS * math.sqrt(2.0 * ratio))
+        if 2 * panels <= convexity.BLOCK_POINTS and 16 * panels < n:
+            try:
+                refined = _predict_n(f, interval, tol, c, panels)[0] * (1.0 - ROUNDING_SLACK)
+            except DomainError:
+                pass  # f' is undefined at a point of the refinement grid
+            else:
+                least = max(least, least_above(refined))
+                n = max(least, n)
+
+    lo, hi, step = least - 1, None, 1  # B(lo) > tol (lo = 0: no panels) and B(hi) <= tol
     while True:
         trial = _uniform_pass(f, interval, n, constants)  # (value, bound_p4, bound_p5)
         if min(trial[1:]) <= tol:

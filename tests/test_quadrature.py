@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhkit import convexity, quadrature
 from hhkit.convexity import ConvexityParams, certify
@@ -509,7 +510,7 @@ def test_guarantee_evaluates_each_grid_once_with_its_derivative(monkeypatch, bou
     iv = Interval(0.0, 2.0)
     block = convexity.BLOCK_POINTS
     predict_size = 2 * quadrature.PREDICT_PANELS + 1
-    for tol, expected in ((1e-2, 3790), (1e-4, 378997)):
+    for tol, expected, refinements in ((1e-2, 3790, 0), (1e-4, 378997, 1)):
         for seen in (value_calls, xs, spans, bound_calls):
             seen.clear()
         result = integrate_with_guarantee(f, iv, tol)
@@ -526,9 +527,13 @@ def test_guarantee_evaluates_each_grid_once_with_its_derivative(monkeypatch, bou
             assert all(left[-1] == right[0] for left, right in zip(calls, calls[1:])), n
             tiled = np.concatenate([calls[0]] + [x[1:] for x in calls[1:]])
             assert np.array_equal(tiled, np.linspace(iv.a, iv.b, n + 1)), n
-        # no full-size call outside a pass: f' is not evaluated on a grid twice
+        # no full-size call outside a pass: f' is not evaluated on a grid twice.
+        # Past the prediction grid, only the refined lower bound's grid is
+        # evaluated outside a pass: one block at most, under n / 16 points
         outside = [x for k, x in enumerate(xs) if k not in in_pass]
-        assert [x.size for x in outside if x.ndim == 1 and x.size > predict_size] == []
+        larger = [x.size for x in outside if x.ndim == 1 and x.size > predict_size]
+        assert len(larger) == refinements, larger
+        assert all(size <= block + 1 and 16 * size < expected for size in larger), larger
         assert result.value == trapezoid_sum(f, Partition.uniform(iv, result.n))
         # the counter does see a value pass, made in the same blocks
         assert len(value_calls) == blocks[result.n]
@@ -592,11 +597,137 @@ def test_guarantee_constant_function_needs_one_panel():
     assert result.bound_p4 == 0.0 and result.bound_p5 == 0.0
 
 
-def test_guarantee_makes_at_most_three_full_passes(bound_calls):
+def test_guarantee_makes_one_full_pass_at_2_8m_panels(bound_calls):
+    # the refined lower bound proves B(n - 1) > tol, so only n itself is passed over
     iv = Interval(1.0, 3.0)
     result = integrate_with_guarantee(parse_function("exp(2*x)", DOMAIN), iv, 1e-4)
     assert result.n == 2800424
-    assert len(bound_calls) <= 3, bound_calls
+    assert bound_calls == [2800424]
+
+
+def _min_bound(f, iv, n):
+    part = Partition.uniform(iv, n)
+    return min(trapezoid_error_bound(v, f, part) for v in BOUND_VARIANTS)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_guarantee_n_is_minimal_on_drawn_smooth_functions(seed):
+    # c1*x^k + c2*exp(l*x) on a subinterval of [0, 3], with tol set by a
+    # target n log-uniform over 1e2..1e5.  The refined lower bound runs when
+    # the prediction pass's midpoint sum falls short of the integer below the
+    # target, so half the targets are moved to just past an integer, by less
+    # than that shortfall
+    rng = random.Random(seed)
+    k, rate = rng.randint(1, 5), rng.choice((0.5, 1.0, 1.5, 2.0))
+    c1, c2 = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
+    f = parse_function(f"{c1!r}*x^{k} + {c2!r}*exp({rate!r}*x)", DOMAIN)
+    a = rng.uniform(0.0, 2.9)
+    iv = Interval(a, rng.uniform(a + 0.05, 3.0))
+    target = 10.0 ** rng.uniform(2.0, 5.0)
+    if rng.random() < 0.5:
+        lower, estimate = quadrature._predict_n(f, iv, 1.0, 1.0)
+        shortfall = (estimate - lower) / estimate * target
+        target = math.floor(target) + rng.uniform(0.3, 1.0) * shortfall
+    # f' > 0 on [0, 3], so the integral of |f'| is f(b) - f(a)
+    variation = float(f(np.array([iv.b]))[0] - f(np.array([iv.a]))[0])
+    tol = min(_constants()) * (iv.b - iv.a) * variation / target
+    n = integrate_with_guarantee(f, iv, tol).n
+    assert _min_bound(f, iv, n) <= tol
+    assert n == 1 or _min_bound(f, iv, n - 1) > tol
+
+
+def _refined_with(monkeypatch, refinement):
+    """Make _predict_n answer refinement(*args) past PREDICT_PANELS panels."""
+    predict = quadrature._predict_n
+
+    def patched(f, interval, tol, c, panels=quadrature.PREDICT_PANELS):
+        args = f, interval, tol, c, panels
+        return predict(*args) if panels == quadrature.PREDICT_PANELS else refinement(*args)
+
+    monkeypatch.setattr(quadrature, "_predict_n", patched)
+    return predict
+
+
+def test_guarantee_kink_on_the_refinement_grid_leaves_the_parent_search(
+    monkeypatch, bound_calls
+):
+    # f' undefined at a point of the refinement grid skips the refinement: the
+    # result and the passes are those of a refinement that proves nothing
+    f = parse_function("exp(2*x)", DOMAIN)
+    iv = Interval(0.0, 2.0)
+
+    def kink(*args):
+        raise DomainError("derivative of abs is undefined at 0")
+
+    runs = []
+    for refinement in (kink, lambda *args: (0.0, 0.0)):
+        _refined_with(monkeypatch, refinement)
+        bound_calls.clear()
+        runs.append((integrate_with_guarantee(f, iv, 1e-4), list(bound_calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == [378997, 378996]
+    monkeypatch.undo()
+    bound_calls.clear()
+    assert integrate_with_guarantee(f, iv, 1e-4) == runs[0][0]
+
+
+def test_guarantee_refined_bound_rounded_up_keeps_the_minimal_n(monkeypatch, bound_calls):
+    # the computed midpoint sum may round above the exact one, whose bound is
+    # at most the minimal n: a bound of exactly n, rounded up by 1e-13
+    # relative (30 times the worst rounding of the sums), must not exclude n
+    f = parse_function("exp(2*x)", DOMAIN)
+    iv = Interval(0.0, 2.0)
+    predict = _refined_with(monkeypatch, lambda *args: (378997 * (1.0 + 1e-13), 0.0))
+    assert integrate_with_guarantee(f, iv, 1e-4).n == 378997
+    assert bound_calls == [378997]
+    # the true refined bound, on the 1815 panels the refinement picks here, lies below n
+    assert 378996 < predict(f, iv, 1e-4, min(_constants()), 1815)[0] < 378997
+
+
+def test_guarantee_falsified_hypothesis_proves_minimality_by_a_pass(bound_calls):
+    # |f'| = x^3 - 3x + 3 is concave on [-1, 0], so its midpoint sums bound
+    # nothing: B(n - 1) > tol is shown by a pass at n - 1, even where a
+    # refined midpoint sum would have been computed for a certified one
+    iv = Interval(-1.0, 2.0)
+    f = parse_function("0.25*x^4 - 1.5*x^2 + 3*x", iv)
+    # the integral of |f'| is f(2) - f(-1) = 8.25; predicted n is ~875,000.1
+    tol = min(_constants()) * 3.0 * 8.25 / 875000.1
+    lower, estimate = quadrature._predict_n(f, iv, tol, min(_constants()))
+    assert math.ceil(lower) < math.ceil(estimate)
+    result = integrate_with_guarantee(f, iv, tol, allow_uncertified=True)
+    assert result.hypothesis_certified is False
+    assert bound_calls == [result.n, result.n - 1]
+    assert _min_bound(f, iv, result.n) <= tol < _min_bound(f, iv, result.n - 1)
+
+
+def test_term_helpers_are_bitwise_the_whole_array_formulas():
+    rng = np.random.default_rng(25)
+    for size in (2, 3, 9, 1000, convexity.BLOCK_POINTS + 1):
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e100):
+            pts = np.unique(rng.uniform(-1.0, 2.0, size) * scale)
+            vals = rng.standard_normal(pts.size) * rng.lognormal(0.0, 10.0, pts.size)
+            # one dx for both, trapezoid terms first, as _uniform_pass does
+            dx = np.diff(pts)
+            assert np.array_equal(
+                quadrature._trapezoid_terms(dx, vals), np.diff(pts) * (vals[:-1] + vals[1:]) / 2.0
+            )
+            d = np.abs(vals)
+            assert np.array_equal(
+                quadrature._panel_terms(dx, vals), np.diff(pts) ** 2 / 2.0 * (d[:-1] + d[1:])
+            )
+
+
+def test_guarantee_refined_bound_refuses_past_the_cap_before_any_pass(bound_calls):
+    # x^4 on [1, 3] at tol 1e-6: the prediction pass bounds n only above
+    # 56,568,531, below this cap, but the refined bound passes it
+    iv = Interval(1.0, 3.0)
+    f = parse_function("x^4", iv)
+    lower = quadrature._predict_n(f, iv, 1e-6, min(_constants()))[0]
+    assert lower < 56568540
+    with pytest.raises(NonConvergenceError, match=r"at least 5656854\d\), past n_cap = 56568540"):
+        integrate_with_guarantee(f, iv, 1e-6, n_cap=56568540)
+    assert bound_calls == []
 
 
 def test_guarantee_over_cap_refusal_allocates_no_full_arrays():

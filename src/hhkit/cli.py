@@ -510,7 +510,7 @@ _FLAGS = {
     "tol": (float, None, DEFAULT_TOL, f"tolerance (default {DEFAULT_TOL:g})"),
     "grid": (int, None, DEFAULT_GRID_N, f"lattice size (default {DEFAULT_GRID_N})"),
     "format": (str, FORMATS, "text", None),
-    "seed": (int, None, 0, "rng seed for sampled checks"),
+    "seed": (int, None, 0, "suite only: seed of the mean rows' random pairs"),
     "n": (int, None, 2, "power-mean order for the P3 check"),
     "config": (str, None, None, "JSON file with the same keys as the flags"),
 }

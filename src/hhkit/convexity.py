@@ -131,15 +131,17 @@ def _block_minima(f, interval: Interval, params: ConvexityParams, grid_n: int):
         else:
             fy = fx  # no f(y/m) term
             ys = np.zeros(1)  # second term vanishes and the combination collapses to mu*x
-    if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
+    if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
         raise DomainError(_NOT_FINITE)
     y_lhs = (1.0 - MU) * ys[None, :, None]
     y_rhs = sc[None, None, :] * fy[None, :, None] if params.m > 0.0 else None
 
     rows = max(1, BLOCK_POINTS // (len(ys) * grid_n))
     swept = isinstance(f, _SweptHypothesis)
-    for i0 in range(0, grid_n, rows):
-        block = slice(i0, i0 + rows)
+    # a sweep stops at its first failing block, so where there are several its first is row 0
+    starts = [0, *range(1, grid_n, rows)] if swept and rows < grid_n else range(0, grid_n, rows)
+    for i0, i1 in zip(starts, [*starts[1:], grid_n]):
+        block = slice(i0, i1)
         z = lambda: MU * points[block, None, None] + y_lhs  # noqa: E731
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = np.asarray(f.on_block(block, z) if swept else f(z()), dtype=float)
@@ -206,9 +208,11 @@ def hypothesis_certified(
     reads only alpha*s and m, so the sweep is memoised on (f, q, interval,
     alpha*s, m, grid_n): T2, T3, T5 and T6 at one p share it, T1 and T4 share
     one, and (s, alpha) = (0.5, 1) shares with (1, 0.5).  The sweep stops at
-    the first block with a margin below -DEFAULT_TOLERANCE, so a DomainError
-    that only a later block would raise is not reached: the hypothesis reads
-    as falsified, on a real lattice counterexample.
+    the first block with a margin below -DEFAULT_TOLERANCE, and on a lattice of
+    more than one block its first block is row 0 alone (grid_n^2 points, the
+    rest in certify's blocks from row 1).  A DomainError that only a later
+    block would raise is not reached: the hypothesis reads as falsified, on a
+    real lattice counterexample.
 
     The lattice points z depend only on (interval, grid_n) and whether the y
     axis exists (m > 0), so sweeps over one (f, interval, grid_n) share their

@@ -56,6 +56,16 @@ class NonConvergenceError(RuntimeError):
     """Numeric refinement failed to reach the requested tolerance."""
 
 
+def _all(flags) -> bool:
+    """np.all(flags) without numpy's Python wrapper; flags may be a Python or numpy scalar."""
+    return bool(flags.all() if isinstance(flags, (np.ndarray, np.generic)) else flags)
+
+
+def _any(flags) -> bool:
+    """np.any(flags) without numpy's Python wrapper; flags may be a Python or numpy scalar."""
+    return bool(flags.any() if isinstance(flags, (np.ndarray, np.generic)) else flags)
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [a, b] with a < b, both finite."""
@@ -74,7 +84,7 @@ class Interval:
         return self.b - self.a
 
     def contains(self, x, slack: float = 0.0) -> bool:
-        return bool(np.all(x >= self.a - slack) and np.all(x <= self.b + slack))
+        return _all(x >= self.a - slack) and _all(x <= self.b + slack)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +148,9 @@ def _unary(v, fn, rule, *args):
 
 
 def _pow_plain(base: Scalar, c: float) -> Scalar:
-    if not float(c).is_integer() and np.any(base < 0.0):
+    if not float(c).is_integer() and _any(base < 0.0):
         raise DomainError(f"negative base with non-integer exponent {c}")
-    if c < 0.0 and np.any(base == 0.0):
+    if c < 0.0 and _any(base == 0.0):
         raise DomainError(f"zero base with negative exponent {c}")
     return base**c
 
@@ -150,7 +160,7 @@ def _pow_rule(u, d, out, c: float):
         return d * 0.0
     if c == 1.0:
         return d
-    if c < 1.0 and np.any(u == 0.0):
+    if c < 1.0 and _any(u == 0.0):
         raise DerivativeUndefinedError(f"derivative of x^{c} is undefined at 0")
     return c * _pow_plain(u, c - 1.0) * d
 
@@ -237,7 +247,7 @@ class Div(_Binary):
 
     @staticmethod
     def fn(num, den):
-        if np.any(_value_of(den) == 0.0):
+        if _any(_value_of(den) == 0.0):
             raise DomainError("division by zero")
         return num / den
 
@@ -258,7 +268,7 @@ class Pow(ExprNode):
         w = self.exponent.evaluate(x)
         u = _value_of(b)
         # non-constant exponent: restrict to positive base so u^w = exp(w log u) is well defined
-        if np.any(u <= 0.0):
+        if _any(u <= 0.0):
             raise DomainError("power with non-constant exponent requires a positive base")
         if not isinstance(b, DualValue):
             return u**w
@@ -288,7 +298,7 @@ class Log(_Function):
 
     @staticmethod
     def fn(u):
-        if np.any(u <= 0.0):
+        if _any(u <= 0.0):
             raise DomainError("log argument must be positive")
         return np.log(u)
 
@@ -299,7 +309,7 @@ class Abs(_Function):
 
     @staticmethod
     def rule(u, d, out):
-        if np.any(u == 0.0):
+        if _any(u == 0.0):
             raise DerivativeUndefinedError("derivative of abs is undefined at 0")
         return np.sign(u) * d
 
@@ -504,7 +514,7 @@ class FunctionSpec:
         if not self.text:
             object.__setattr__(self, "text", format_expression(self.body))
         grid = np.linspace(self.domain.a, self.domain.b, _CONSTRUCTION_GRID)
-        if not np.all(np.isfinite(self._evaluate(grid, dual=False))):
+        if not _all(np.isfinite(self._evaluate(grid, dual=False))):
             raise DomainError(
                 f"{self.text!r} is not finite everywhere on [{self.domain.a}, {self.domain.b}]"
             )
@@ -530,7 +540,7 @@ class FunctionSpec:
     def value(self, x: Scalar) -> Scalar:
         """Evaluate at a float or ndarray; raises DomainError off-domain or on non-finite results."""
         out = self._evaluate(x, dual=False)
-        if not np.all(np.isfinite(out)):
+        if not _all(np.isfinite(out)):
             raise DomainError(f"{self.text!r} produced a non-finite value")
         return _shaped_like(out, x)
 
@@ -539,7 +549,7 @@ class FunctionSpec:
     def eval_with_derivative(self, x: Scalar) -> DualValue:
         """Forward-mode evaluation returning the (value, derivative) pair at x."""
         out = self._evaluate(x, dual=True)
-        if not (np.all(np.isfinite(out.value)) and np.all(np.isfinite(out.derivative))):
+        if not (_all(np.isfinite(out.value)) and _all(np.isfinite(out.derivative))):
             raise DomainError(f"{self.text!r} produced a non-finite value or derivative")
         return DualValue(_shaped_like(out.value, x), _shaped_like(out.derivative, x))
 

@@ -8,8 +8,11 @@ nonnegative for convex f.  Six named bounds T1 .. T6 dominate |gap| under a
 convexity-class hypothesis on |f'| (T1, T4) or |f'|^q (the Holder variants
 T2, T3, T5, T6), always in the first combination sense.  Each bound is a
 closed form in |f'(a)|, |f'(b/m)|, the kernel moments, and the conjugate
-exponent pair.  ``verify_theorem`` evaluates bound and gap side by side and
-also reports whether the hypothesis survives a certification sweep.
+exponent pair.  At (s, alpha, m) = (1, 1, 1), T1 and T2 are Theorems 2.2 and
+2.3 of Dragomir & Agarwal, Appl. Math. Lett. 11 (1998), and T3 is Theorem 1
+of Pearce & Pecaric, Appl. Math. Lett. 13 (2000).  ``verify_theorem``
+evaluates bound and gap side by side and also reports whether the hypothesis
+survives a certification sweep.
 
 The gap itself has two exact integral representations (one over a single
 kernel weight, one over the pair kernel); ``lemma_identity_residuals``

@@ -9,10 +9,10 @@ valid when |f'| belongs to the s-convex class certified by
 ``convexity.certify`` with parameters (s, 1, 1, first).  The reference
 integrator is an adaptive-Simpson panel refiner, independent of the trapezoid
 code path, and doubles as the ground-truth oracle elsewhere in the package.
-It refines level-synchronously: one evaluation of f per refinement level, on
-a 1-D array of the quarter-points of every active panel, so f must map such
-an array to values of the same shape.  A level may hold at most
-REFERENCE_PANEL_CAP panels.
+It refines level-synchronously, a level's panels stacked in one array: one
+evaluation of f per refinement level, on a 1-D array of the quarter-points of
+every active panel, so f must map such an array to values of the same shape.
+A level may hold at most REFERENCE_PANEL_CAP panels.
 """
 
 from __future__ import annotations
@@ -205,6 +205,11 @@ REFERENCE_PANEL_CAP = 2**16  # most active panels in one level of refinement
 
 MAX_DEPTH = 60  # deepest refinement level before a panel counts as not converging
 
+# A level's panels are one (7, P) array, rows a, fa, m, fm, b, fb, whole; with
+# lm, rm, flm, frm, left, right stacked below its first six rows, a kept
+# panel's children are rows (a, fa, lm, flm, m, fm, left), (m, fm, rm, frm, b, fb, right).
+_CHILD_ROWS = ((0, 2), (1, 3), (6, 7), (8, 9), (2, 4), (3, 5), (10, 11))
+
 
 def _simpson(a, fa, fm, b, fb):
     return (b - a) * (fa + 4.0 * fm + fb) / 6.0
@@ -218,12 +223,6 @@ def _values(fn, x: np.ndarray) -> np.ndarray:
             f"got shape {y.shape} for {x.shape}"
         )
     return y
-
-
-def _halves(lo: np.ndarray, hi: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """lo and hi of the kept panels, interleaved: the children of each kept
-    panel, left then right, in the order of their parents."""
-    return np.stack((lo[keep], hi[keep]), axis=1).ravel()
 
 
 def reference_integrate(
@@ -248,35 +247,33 @@ def reference_integrate(
     b = np.array([interval.b], dtype=float)
     m = 0.5 * (a + b)
     fa, fm, fb = np.split(_values(f, np.concatenate((a, m, b))), 3)
-    whole = _simpson(a, fa, fm, b, fb)
+    panels = np.stack((a, fa, m, fm, b, fb, _simpson(a, fa, fm, b, fb)))
 
     levels = []  # per depth: (panel values, refined mask), panels in tree order
     for depth in itertools.count():
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = np.split(_values(f, np.concatenate((lm, rm))), 2)
-        left = _simpson(a, fa, flm, m, fm)
-        right = _simpson(m, fm, frm, b, fb)
-        err = left + right - whole
-        refine = ~(np.abs(err) <= 15.0 * tol) if depth >= _MIN_DEPTH else np.ones(a.size, bool)
+        quarters = 0.5 * (panels[0:4:2] + panels[2:6:2])  # (lm, rm) = (a + m, m + b) / 2
+        fq = _values(f, quarters.ravel()).reshape(quarters.shape)
+        # (left, right): Simpson on (a, fa, flm, m, fm) and (m, fm, frm, b, fb)
+        halves = _simpson(panels[0:4:2], panels[1:5:2], fq, panels[2:6:2], panels[3:7:2])
+        left, right = halves
+        err = left + right - panels[6]
+        refine = ~(np.abs(err) <= 15.0 * tol) if depth >= _MIN_DEPTH else np.ones(err.size, bool)
         levels.append((left + right + err / 15.0, refine))
         n_refine = int(np.count_nonzero(refine))
         if n_refine == 0:
             break
         if depth >= MAX_DEPTH:
             i = int(np.argmax(refine))
-            raise NonConvergenceError(
-                f"adaptive refinement exceeded depth {MAX_DEPTH} on [{a[i]}, {b[i]}]"
-            )
+            a, b = panels[0, i], panels[4, i]
+            raise NonConvergenceError(f"adaptive refinement exceeded depth {MAX_DEPTH} on [{a}, {b}]")
         if 2 * n_refine > REFERENCE_PANEL_CAP:
             raise NonConvergenceError(
                 f"adaptive refinement needs {2 * n_refine} panels at depth {depth + 1}, "
                 f"past REFERENCE_PANEL_CAP = {REFERENCE_PANEL_CAP}"
             )
-        a, fa, m, fm, b, fb, whole = (
-            _halves(lo, hi, refine)
-            for lo, hi in ((a, m), (fa, fm), (lm, rm), (flm, frm), (m, b), (fm, fb), (left, right))
-        )
+        stack = np.concatenate((panels[:6], quarters, fq, halves))[:, refine]
+        # each kept panel's left child, then its right, in the order of their parents
+        panels = stack.take(_CHILD_ROWS, axis=0).transpose(0, 2, 1).reshape(7, -1)
         tol = tol / 2.0
 
     total = levels[-1][0]

@@ -442,12 +442,65 @@ def test_falsified_hypothesis_stops_at_its_first_violating_block(monkeypatch):
     grid_n = convexity.DEFAULT_GRID_N
     rows = convexity.BLOCK_POINTS // grid_n**2  # x rows per block
     assert not hypothesis_certified(f, None, UNIT, ConvexityParams(0.5, 1.0, 1.0), grid_n)
-    # f at the grid and at grid/m, then the first block only
-    assert sizes == [grid_n, grid_n, rows * grid_n**2]
+    # f at the grid and at grid/m, then the first block only, which is row 0
+    assert sizes == [50, 50, 2500]
     sizes.clear()
     convexity._hypothesis_certified.cache_clear()  # also drops the |f'| blocks the first sweep kept
     assert hypothesis_certified(f, None, UNIT, CLASSIC, grid_n)  # |f'| = 2x is convex
-    assert len(sizes) == 2 + math.ceil(grid_n / rows) and sum(sizes[2:]) == grid_n**3
+    # row 0, then blocks of `rows` rows from row 1
+    assert len(sizes) == 3 + math.ceil((grid_n - 1) / rows) and sum(sizes[2:]) == grid_n**3
+
+
+def test_a_single_block_lattice_keeps_its_one_block(monkeypatch):
+    sizes = _counting_hypotheses(monkeypatch)
+    f = parse_function("x^2", UNIT)
+    # the guarantee's grid 30 is one block of 27,000 points: no row of its own for row 0
+    assert not hypothesis_certified(f, None, UNIT, ConvexityParams(0.5, 1.0, 1.0), 30)
+    assert sizes == [30, 30, 30**3]
+
+
+def test_certify_keeps_its_block_schedule():
+    sizes = []
+
+    def hyp(t):
+        sizes.append(np.size(t))
+        return -(t**2)  # concave: violated from row 0 on
+
+    report = certify(hyp, UNIT, CLASSIC, grid_n=50)
+    # every block is reduced, in blocks of 13 x rows from row 0
+    assert sizes == [50, 50, 13 * 2500, 13 * 2500, 13 * 2500, 11 * 2500]
+    assert repr(report) == repr(_whole_lattice_certify(hyp, UNIT, CLASSIC, 50))
+
+
+def test_certify_reports_the_lexicographically_first_counterexample_across_blocks():
+    # -(x^2) ties its worst margin at rows 0 and 49: the first is reported
+    f = parse_function("-(x^2)", UNIT)
+    margins = _whole_lattice_margins(f, UNIT, CLASSIC, 50)[0]
+    assert {int(i) for i in np.argwhere(margins == margins.min())[:, 0]} == {0, 49}
+    report = certify(f, UNIT, CLASSIC, grid_n=50)
+    assert repr(report) == repr(_whole_lattice_certify(f, UNIT, CLASSIC, 50))
+    assert (report.counterexample.x, report.counterexample.y) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("concave", [True, False])
+def test_a_sweep_failing_in_row_0_does_not_reach_an_error_in_row_1(monkeypatch, concave):
+    # z = 53/2401 is a lattice point of row 1 (x = 1/49, y = 2/49, mu = 45/49) but
+    # not of row 0, whose points are (49 - j) * l / 2401, since 53 is prime
+    nan_at = 53 / 49**2
+
+    def hyp(t):
+        return np.where(np.abs(t - nan_at) < 1e-6, np.nan, -(t**2) if concave else t**2)
+
+    monkeypatch.setattr(convexity, "derivative_power", lambda f, q: hyp)
+    convexity._hypothesis_certified.cache_clear()
+    f = parse_function("x", UNIT)
+    with pytest.raises(DomainError, match="not finite on the certify lattice"):
+        certify(hyp, UNIT, CLASSIC, grid_n=50)  # its first block holds rows 0-12
+    if concave:  # row 0 violates the class, and the sweep stops there
+        assert hypothesis_certified(f, None, UNIT, CLASSIC, 50) is False
+    else:
+        with pytest.raises(DomainError, match="not finite on the certify lattice"):
+            hypothesis_certified(f, None, UNIT, CLASSIC, 50)
 
 
 def test_equal_alpha_s_and_m_share_one_sweep():
@@ -506,8 +559,7 @@ def test_a_shared_block_is_the_hypothesis_at_the_block_points():
     f, iv, grid_n = parse_function("x^4", DOMAIN), Interval(0.0, 2.0), convexity.DEFAULT_GRID_N
     assert hypothesis_certified(f, None, iv, CLASSIC, grid_n)  # |f'| = 4x^3 is convex: every block
     kept = convexity._shared_blocks[(f, iv, grid_n, True)]
-    rows = convexity.BLOCK_POINTS // grid_n**2
-    assert list(kept) == [(i0, i0 + rows) for i0 in range(0, grid_n, rows)]
+    assert list(kept) == [(0, 1), (1, 14), (14, 27), (27, 40), (40, 50)]
     points, MU = np.linspace(iv.a, iv.b, grid_n), np.linspace(0.0, 1.0, grid_n)[None, None, :]
     for (start, stop), block in kept.items():
         assert not block.flags.writeable

@@ -571,3 +571,85 @@ def test_interval_validation():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation checks read truth values as np.all / np.any do
+
+_FLAGS = [
+    True, False, 0.0, 1.5, math.nan, math.inf, -math.inf,
+    np.bool_(True), np.bool_(False), np.float64(math.nan), np.float32(0.0),
+    np.array(True), np.array(False), np.array(math.nan), np.array([]), np.array([], dtype=bool),
+    np.array([True, False]), np.array([False, False]), np.ones((2, 3), bool), np.array([0.0, math.nan]),
+]  # fmt: skip
+
+
+def test_check_helpers_keep_the_truth_values_of_np_all_and_np_any():
+    for flags in _FLAGS:
+        assert expr._all(flags) is bool(np.all(flags)), flags
+        assert expr._any(flags) is bool(np.any(flags)), flags
+
+
+# each reaches one check at or near x = 0.3, or fails construction on [0, 1]
+_CHECKED_TEXTS = (
+    "x^2",
+    "log(abs(x - 0.3))",  # log of zero
+    "1/(x - 0.3)",  # division by zero
+    "(x - 0.3)^-1",  # zero base, negative exponent
+    "((x - 0.3)^2)^0.25",  # x^c derivative at 0
+    "abs(x - 0.3)",  # abs derivative at 0
+    "exp(1/(x - 0.3))",  # overflows to inf just right of 0.3
+    "(x + 1)^x",  # non-constant exponent on a positive base
+    "(x - 0.3)^x",  # ... on a non-positive one: fails on the construction grid
+    "(x - 0.3)^0.5",  # negative base: fails on the construction grid
+    "log(x)",  # log of zero at the grid point 0
+    "exp(1000*x)",  # not finite at the grid point 1
+)
+
+_CHECKED_INPUTS = [
+    0.3, 0.3 + 1e-5, 0.5, 2.0, math.nan, math.inf, -math.inf,
+    np.float64(0.3), np.float32(0.3), np.float32(0.5), np.float64(math.nan),
+    np.array(0.3), np.array(0.5), np.array(math.nan), np.array([]), np.array([], dtype=np.float32),
+    np.array([0.1, 0.3]), np.array([0.5, 0.3 + 1e-5]), np.array([0.5, 0.7], dtype=np.float32),
+    np.array([0.5, math.nan]), np.array([0.5, math.inf]), np.array([0.5, -math.inf]),
+    np.array([0.5, 2.0]),
+]  # fmt: skip
+
+
+def _check_outcomes():
+    """Per text, input and evaluation: the DomainError class and message, or the
+    result's types, dtypes, shapes and bytes."""
+    outcomes = []
+    for text in _CHECKED_TEXTS:
+        for x in _CHECKED_INPUTS:
+            for method in ("value", "eval_with_derivative"):
+                try:
+                    out = getattr(parse_function(text, Interval(0.0, 1.0)), method)(x)
+                except DomainError as exc:
+                    outcomes.append(("error", type(exc), str(exc)))
+                    continue
+                parts = (out.value, out.derivative) if isinstance(out, DualValue) else (out,)
+                outcomes.append(
+                    tuple((type(v), np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes())
+                          for v in parts)
+                )  # fmt: skip
+    return outcomes
+
+
+def test_check_helpers_keep_every_domain_error_class_and_message():
+    got = _check_outcomes()
+    with mock.patch.object(expr, "_all", lambda flags: bool(np.all(flags))), mock.patch.object(
+        expr, "_any", lambda flags: bool(np.any(flags))
+    ):
+        expected = _check_outcomes()
+    assert got == expected
+    errors = [o[1:] for o in got if o[0] == "error"]
+    messages = {message for _, message in errors}
+    for part in (
+        "input outside domain", "log argument must be positive", "division by zero",
+        "zero base with negative exponent", "derivative of x^0.25 is undefined at 0",
+        "derivative of abs is undefined at 0", "produced a non-finite value",
+        "produced a non-finite value or derivative", "is not finite everywhere",
+    ):  # fmt: skip
+        assert any(part in message for message in messages), part
+    assert {cls for cls, _ in errors} == {DomainError, DerivativeUndefinedError}

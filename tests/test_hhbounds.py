@@ -103,6 +103,29 @@ def test_t4_square_equals_gap():
     assert abs(bound - hh_gap(f, UNIT)) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_bounds_at_the_convex_class_are_the_published_ones(p):
+    # at (s, alpha, m) = (1, 1, 1): Dragomir & Agarwal (1998) Thm 2.2 and 2.3,
+    # Pearce & Pecaric (2000) Thm 1
+    iv = Interval(1.0, 3.0)
+    f = parse_function("exp(x)", iv)
+    hp = HolderExponents(p)
+    q, w, d1, d2 = hp.q, iv.width, math.exp(iv.a), math.exp(iv.b)
+    published = {
+        "T1": w * (d1 + d2) / 8.0,
+        "T2": w / (2.0 * (p + 1.0) ** (1.0 / p)) * ((d1**q + d2**q) / 2.0) ** (1.0 / q),
+        "T3": w / 4.0 * ((d1**q + d2**q) / 2.0) ** (1.0 / q),
+    }
+    for tid, value in published.items():
+        bound = theorem_bound(tid, f, iv, CLASSIC, None if tid == "T1" else hp)
+        assert math.isclose(bound, value, rel_tol=1e-15, abs_tol=0.0), (tid, bound, value)
+
+
+def test_t4_is_tight_on_the_square():
+    f = parse_function("x^2", UNIT)
+    assert abs(theorem_bound("T4", f, UNIT, CLASSIC) / hh_gap(f, UNIT) - 1.0) <= 1e-12
+
+
 def test_all_six_bounds_on_exp_match_reference():
     f = parse_function("exp(x)", UNIT)
     for tid in THEOREM_IDS:

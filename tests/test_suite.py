@@ -84,6 +84,7 @@ def _counted_endpoint_derivatives(counts):
             counts["endpoint_derivatives"] += 1
         if np.ndim(x) == 3:
             counts["lattice_derivatives"] += 1
+            counts["lattice_points"] += np.size(x)
         return derivative(self, x)
 
     return bound, counted_derivative
@@ -136,8 +137,9 @@ def test_suite_shares_certifications_and_oracle_integrals(suite):
     # alpha*s, m and q or none; (0.5, 1, 1) and (1, 0.5, 1) share), 15
     # guarantee sweeps, one per (f, interval)
     assert counts["sweeps"] == 210
-    # a falsified hypothesis stops at its first violating block
-    assert counts["blocks"] == 433
+    # a falsified hypothesis stops at its first violating block, and on a
+    # lattice of several blocks a sweep's first block is row 0
+    assert counts["blocks"] == 495
     # 15 oracle integrals, 15 lemma line integrals, 30 guarantee cross-checks
     assert counts["reference"] == 60
     # |f'(a)| and |f'(b/m)| once per (f, interval, m): 15 (f, interval) x 2 m
@@ -147,9 +149,13 @@ def test_suite_shares_certifications_and_oracle_integrals(suite):
 def test_suite_hypothesis_sweeps_share_their_derivative_blocks(suite):
     _, _, counts = suite
     # f' once per block of each lattice: the 12 theorem hypothesis sweeps of
-    # an (f, interval) read the 4 blocks of one grid-50 lattice, and the
-    # guarantee sweeps one grid-30 block; 15 (f, interval) x (4 + 1)
-    assert counts["lattice_derivatives"] == 75
+    # an (f, interval) read the 5 blocks of one grid-50 lattice (row 0, then
+    # 13 x rows at a time), and the guarantee sweeps one grid-30 block;
+    # 15 (f, interval) x (5 + 1)
+    assert counts["lattice_derivatives"] == 90
+    # the extra block is row 0 split off the first: f' is still read at each
+    # lattice point once, 15 (f, interval) x (50^3 + 30^3)
+    assert counts["lattice_points"] == 15 * (50**3 + 30**3)
 
 
 def test_cold_suite_does_not_import_numpy_random():

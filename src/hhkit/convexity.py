@@ -126,7 +126,8 @@ def _block_minima(f, interval: Interval, params: ConvexityParams, grid_n: int):
         MU, fc = mus[None, None, :], fc[None, None, :]
         fx = np.asarray(f(points), dtype=float)
         if params.m > 0.0:
-            fy = np.asarray(f(points / params.m), dtype=float)
+            # points / 1.0 is points, bit for bit, so m = 1 reuses f(points)
+            fy = fx if params.m == 1.0 else np.asarray(f(points / params.m), dtype=float)
             ys = points
         else:
             fy = fx  # no f(y/m) term

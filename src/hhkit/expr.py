@@ -12,11 +12,11 @@ Note that per this grammar a leading unary minus is part of a power's base:
 ``-x^2`` parses as ``(-x)^2``.  Write ``-(x^2)`` for the other reading.
 
 Each node class declares its syntax and value rule once: an operator its
-``symbol``, binding ``level`` and ``fn``, a function its ``name``, ``fn`` and
-derivative ``rule``.  The parser's tables, the printer's parentheses and one
-``evaluate`` per node family read them, for floats, arrays and ``DualValue``
-seeds alike, and repeated evaluation is bit-identical.  ``value`` and
-``eval_with_derivative`` return arrays the caller owns.
+``symbol``, binding ``level`` and ``fn``, a function its ``name``, domain
+``check``, ``fn`` and derivative ``rule``.  The parser's tables, the printer's
+parentheses and one ``evaluate`` per node family read them, for floats, arrays
+and ``DualValue`` seeds alike, and repeated evaluation is bit-identical.
+``value``, ``derivative`` and ``eval_with_derivative`` return arrays the caller owns.
 """
 
 from __future__ import annotations
@@ -96,24 +96,60 @@ def _is_zero(d) -> bool:
     return not isinstance(d, np.ndarray) and d == 0.0
 
 
-@dataclass(frozen=True)
+class _Deferred:
+    """A value read by calling it: compute() on the first call, the kept result
+    after it.  compute, and with it the operands it reads, is dropped once it has run."""
+
+    __slots__ = ("compute", "result")
+
+    def __init__(self, compute=None, result=None):
+        self.compute, self.result = compute, result
+
+    def __call__(self):
+        if self.compute is not None:
+            self.result, self.compute = self.compute(), None
+        return self.result
+
+
 class DualValue:
     """A (value, derivative) pair; each component is a float or an array of x's shape,
     and a constant's derivative is the scalar 0.0.  It carries arithmetic only; the
-    nodes apply every other rule and every domain check."""
+    nodes apply every other rule and every domain check.
 
-    value: Scalar
-    derivative: Scalar
+    The derivative is computed when the pair is built, the value when it is first
+    read (and kept): the pairs that arithmetic and the nodes build defer it, so an
+    evaluation that reads only the derivative computes f's value at a node only
+    where a derivative rule or a domain check reads it."""
+
+    __slots__ = ("_value", "derivative")
+
+    def __init__(self, value, derivative: Scalar):
+        self._value = value if isinstance(value, _Deferred) else _Deferred(result=value)
+        self.derivative = derivative
+
+    @property
+    def value(self) -> Scalar:
+        return self._value()
+
+    def __eq__(self, other):
+        if other.__class__ is not DualValue:
+            return NotImplemented
+        return (self.value, self.derivative) == (other.value, other.derivative)
+
+    def __repr__(self) -> str:
+        return f"DualValue(value={self.value!r}, derivative={self.derivative!r})"
 
     def __add__(self, other: "DualValue") -> "DualValue":
         d, e = self.derivative, other.derivative
         der = d if _is_zero(e) else e if _is_zero(d) else d + e
-        return DualValue(self.value + other.value, der)
+        u, v = self._value, other._value
+        return DualValue(_Deferred(lambda: u() + v()), der)
 
     def __sub__(self, other: "DualValue") -> "DualValue":
         d, e = self.derivative, other.derivative
         der = d if _is_zero(e) else -e if _is_zero(d) else d - e
-        return DualValue(self.value - other.value, der)
+        u, v = self._value, other._value
+        return DualValue(_Deferred(lambda: u() - v()), der)
 
     def __mul__(self, other: "DualValue") -> "DualValue":
         if _is_zero(other.derivative):
@@ -122,47 +158,61 @@ class DualValue:
             der = self.value * other.derivative
         else:
             der = self.derivative * other.value + self.value * other.derivative
-        return DualValue(self.value * other.value, der)
+        u, v = self._value, other._value
+        return DualValue(_Deferred(lambda: u() * v()), der)
 
     def __truediv__(self, other: "DualValue") -> "DualValue":
         num = self.derivative * other.value
         if not _is_zero(other.derivative):
             num = num - self.value * other.derivative
-        return DualValue(self.value / other.value, num / (other.value * other.value))
+        u, v = self._value, other._value
+        return DualValue(_Deferred(lambda: u() / v()), num / (other.value * other.value))
 
     def __neg__(self) -> "DualValue":
-        return DualValue(-self.value, -self.derivative)
+        u = self._value
+        return DualValue(_Deferred(lambda: -u()), -self.derivative)
 
 
 def _value_of(v):
     return v.value if isinstance(v, DualValue) else v
 
 
-def _unary(v, fn, rule, *args):
-    """fn(v, *args) on a plain value; on a dual (u, d) the pair
-    (fn(u, *args), rule(u, d, fn(u, *args), *args))."""
+def _unary(v, check, fn, rule, *args):
+    """check(v, *args), then fn(v, *args) on a plain value; on a dual (u, d),
+    check(u, *args), then the pair of fn(u, *args), deferred, and
+    rule(u, d, value, *args), where value() reads the former."""
     if not isinstance(v, DualValue):
+        check(v, *args)
         return fn(v, *args)
-    out = fn(v.value, *args)
-    return DualValue(out, rule(v.value, v.derivative, out, *args))
+    u = v.value
+    check(u, *args)
+    out = _Deferred(lambda: fn(u, *args))
+    return DualValue(out, rule(u, v.derivative, out, *args))
 
 
-def _pow_plain(base: Scalar, c: float) -> Scalar:
+def _no_check(u, *args) -> None:
+    pass
+
+
+def _pow_check(base: Scalar, c: float) -> None:
     if not float(c).is_integer() and _any(base < 0.0):
         raise DomainError(f"negative base with non-integer exponent {c}")
     if c < 0.0 and _any(base == 0.0):
         raise DomainError(f"zero base with negative exponent {c}")
-    return base**c
 
 
-def _pow_rule(u, d, out, c: float):
+def _pow_rule(u, d, value, c: float):
     if c == 0.0:
         return d * 0.0
     if c == 1.0:
         return d
     if c < 1.0 and _any(u == 0.0):
         raise DerivativeUndefinedError(f"derivative of x^{c} is undefined at 0")
-    return c * _pow_plain(u, c - 1.0) * d
+    _pow_check(u, c - 1.0)
+    der = c * u ** (c - 1.0)
+    if not isinstance(d, np.ndarray) and d == 1.0 and isinstance(der, np.ndarray) and der.dtype == np.float64:
+        return der  # der * 1.0 would be der in bits and in dtype: the seed's unit factor
+    return der * d
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +310,11 @@ class Pow(ExprNode):
     def evaluate(self, x):
         b = self.base.evaluate(x)
         if isinstance(self.exponent, Constant):
-            return _unary(b, _pow_plain, _pow_rule, self.exponent.value)
+            return _unary(b, _pow_check, operator.pow, _pow_rule, self.exponent.value)
         if not _depends_on_x(self.exponent):
             # e.g. x^2^3: the exponent folds to a number, so the constant-power
             # rules (integer powers at any base) apply
-            return _unary(b, _pow_plain, _pow_rule, float(self.exponent.evaluate(0.0)))
+            return _unary(b, _pow_check, operator.pow, _pow_rule, float(self.exponent.evaluate(0.0)))
         w = self.exponent.evaluate(x)
         u = _value_of(b)
         # non-constant exponent: restrict to positive base so u^w = exp(w log u) is well defined
@@ -277,30 +327,32 @@ class Pow(ExprNode):
 
 
 class _Function(ExprNode):
-    """A one-argument function: ``name(operand)`` in text, with value ``fn(u)``
-    and, on a dual (u, d), derivative ``rule(u, d, fn(u))``."""
+    """A one-argument function: ``name(operand)`` in text, defined where
+    ``check(u)`` passes, with value ``fn(u)`` and, on a dual (u, d), derivative
+    ``rule(u, d, value)``, where ``value()`` reads fn(u)."""
 
     operand: ExprNode
+    check = staticmethod(_no_check)
 
     def evaluate(self, x):
-        return _unary(self.operand.evaluate(x), self.fn, self.rule)
+        return _unary(self.operand.evaluate(x), self.check, self.fn, self.rule)
 
 
 class Exp(_Function):
     name = "exp"
     fn = staticmethod(np.exp)
-    rule = staticmethod(lambda u, d, out: out * d)
+    rule = staticmethod(lambda u, d, value: value() * d)
 
 
 class Log(_Function):
     name = "log"
-    rule = staticmethod(lambda u, d, out: d / u)
+    fn = staticmethod(np.log)
+    rule = staticmethod(lambda u, d, value: d / u)
 
     @staticmethod
-    def fn(u):
+    def check(u):
         if _any(u <= 0.0):
             raise DomainError("log argument must be positive")
-        return np.log(u)
 
 
 class Abs(_Function):
@@ -308,7 +360,7 @@ class Abs(_Function):
     fn = staticmethod(np.abs)
 
     @staticmethod
-    def rule(u, d, out):
+    def rule(u, d, value):
         if _any(u == 0.0):
             raise DerivativeUndefinedError("derivative of abs is undefined at 0")
         return np.sign(u) * d
@@ -514,24 +566,27 @@ class FunctionSpec:
         if not self.text:
             object.__setattr__(self, "text", format_expression(self.body))
         grid = np.linspace(self.domain.a, self.domain.b, _CONSTRUCTION_GRID)
-        if not _all(np.isfinite(self._evaluate(grid, dual=False))):
+        if not _all(np.isfinite(self._evaluate(grid))):
             raise DomainError(
                 f"{self.text!r} is not finite everywhere on [{self.domain.a}, {self.domain.b}]"
             )
 
-    def _evaluate(self, x, dual: bool):
-        """The tree at x, or at the dual seed (x, 1); x is checked against the domain first."""
+    def _evaluate(self, x, read=None):
+        """The tree at x, or given read, read(the pair at the dual seed (x, 1)), so
+        that the values read compute under the same error handling; x is checked
+        against the domain first."""
         slack = 1e-9 * max(1.0, abs(self.domain.a), abs(self.domain.b))
         if not self.domain.contains(x, slack=slack):
             raise DomainError(
                 f"input outside domain [{self.domain.a}, {self.domain.b}] of {self.text!r}"
             )
-        if dual:
+        if read is not None:
             # a scalar 1 for arrays too; float64, so a float32 x gets float64 derivatives
             x = DualValue(x if isinstance(x, np.ndarray) else float(x), np.float64(1.0))
         try:
             with np.errstate(all="ignore"):
-                return self.body.evaluate(x)
+                out = self.body.evaluate(x)
+                return out if read is None else read(out)
         except OverflowError:  # Python-float arithmetic raises where numpy gives inf or nan
             raise DomainError(f"{self.text!r} overflows float64") from None
         except ZeroDivisionError:
@@ -539,7 +594,7 @@ class FunctionSpec:
 
     def value(self, x: Scalar) -> Scalar:
         """Evaluate at a float or ndarray; raises DomainError off-domain or on non-finite results."""
-        out = self._evaluate(x, dual=False)
+        out = self._evaluate(x)
         if not _all(np.isfinite(out)):
             raise DomainError(f"{self.text!r} produced a non-finite value")
         return _shaped_like(out, x)
@@ -547,14 +602,25 @@ class FunctionSpec:
     __call__ = value
 
     def eval_with_derivative(self, x: Scalar) -> DualValue:
-        """Forward-mode evaluation returning the (value, derivative) pair at x."""
-        out = self._evaluate(x, dual=True)
-        if not (_all(np.isfinite(out.value)) and _all(np.isfinite(out.derivative))):
+        """Forward-mode evaluation returning the (value, derivative) pair at x.
+        Raises DomainError off-domain, where a node's domain check fails, where
+        the derivative is undefined (DerivativeUndefinedError) or where f or f'
+        is not finite."""
+        value, derivative = self._evaluate(x, lambda out: (out.value, out.derivative))
+        if not (_all(np.isfinite(value)) and _all(np.isfinite(derivative))):
             raise DomainError(f"{self.text!r} produced a non-finite value or derivative")
-        return DualValue(_shaped_like(out.value, x), _shaped_like(out.derivative, x))
+        return DualValue(_shaped_like(value, x), _shaped_like(derivative, x))
 
     def derivative(self, x: Scalar) -> Scalar:
-        return self.eval_with_derivative(x).derivative
+        """f' at x, as eval_with_derivative(x).derivative, but computing f's
+        value only at the nodes whose derivative rule or domain check reads it.
+        It raises as eval_with_derivative does, with one exception: f's own
+        value is not checked, so where f overflows and f' is finite, f' is
+        returned (value and eval_with_derivative raise there)."""
+        derivative = self._evaluate(x, lambda out: out.derivative)
+        if not _all(np.isfinite(derivative)):
+            raise DomainError(f"{self.text!r} produced a non-finite value or derivative")
+        return _shaped_like(derivative, x)
 
 
 @dataclass(frozen=True)

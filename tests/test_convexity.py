@@ -442,13 +442,13 @@ def test_falsified_hypothesis_stops_at_its_first_violating_block(monkeypatch):
     grid_n = convexity.DEFAULT_GRID_N
     rows = convexity.BLOCK_POINTS // grid_n**2  # x rows per block
     assert not hypothesis_certified(f, None, UNIT, ConvexityParams(0.5, 1.0, 1.0), grid_n)
-    # f at the grid and at grid/m, then the first block only, which is row 0
-    assert sizes == [50, 50, 2500]
+    # f at the grid, which at m = 1 is also grid/m, then the first block only, which is row 0
+    assert sizes == [50, 2500]
     sizes.clear()
     convexity._hypothesis_certified.cache_clear()  # also drops the |f'| blocks the first sweep kept
     assert hypothesis_certified(f, None, UNIT, CLASSIC, grid_n)  # |f'| = 2x is convex
     # row 0, then blocks of `rows` rows from row 1
-    assert len(sizes) == 3 + math.ceil((grid_n - 1) / rows) and sum(sizes[2:]) == grid_n**3
+    assert len(sizes) == 2 + math.ceil((grid_n - 1) / rows) and sum(sizes[1:]) == grid_n**3
 
 
 def test_a_single_block_lattice_keeps_its_one_block(monkeypatch):
@@ -456,7 +456,7 @@ def test_a_single_block_lattice_keeps_its_one_block(monkeypatch):
     f = parse_function("x^2", UNIT)
     # the guarantee's grid 30 is one block of 27,000 points: no row of its own for row 0
     assert not hypothesis_certified(f, None, UNIT, ConvexityParams(0.5, 1.0, 1.0), 30)
-    assert sizes == [30, 30, 30**3]
+    assert sizes == [30, 30**3]
 
 
 def test_certify_keeps_its_block_schedule():
@@ -467,9 +467,13 @@ def test_certify_keeps_its_block_schedule():
         return -(t**2)  # concave: violated from row 0 on
 
     report = certify(hyp, UNIT, CLASSIC, grid_n=50)
-    # every block is reduced, in blocks of 13 x rows from row 0
-    assert sizes == [50, 50, 13 * 2500, 13 * 2500, 13 * 2500, 11 * 2500]
+    # f once at the grid (grid/m at m = 1), then every block is reduced, in
+    # blocks of 13 x rows from row 0
+    assert sizes == [50, 13 * 2500, 13 * 2500, 13 * 2500, 11 * 2500]
     assert repr(report) == repr(_whole_lattice_certify(hyp, UNIT, CLASSIC, 50))
+    sizes.clear()
+    certify(hyp, UNIT, ConvexityParams(1.0, 1.0, 0.5), grid_n=50)
+    assert sizes[:3] == [50, 50, 13 * 2500]  # at m < 1, f is also evaluated at grid/m
 
 
 def test_certify_reports_the_lexicographically_first_counterexample_across_blocks():
@@ -575,7 +579,7 @@ def test_lattices_of_one_function_on_other_intervals_or_grids_share_no_block(mon
     for iv, grid_n in ((Interval(0.0, 1.0), 50), (Interval(1.0, 3.0), 50), (Interval(1.0, 3.0), 49)):
         sizes.clear()
         assert hypothesis_certified(f, 2.0, iv, CLASSIC, grid_n)
-        assert sum(sizes[2:]) == grid_n**3  # evaluated afresh, not read from the last lattice
+        assert sum(sizes[1:]) == grid_n**3  # evaluated afresh, not read from the last lattice
 
 
 def test_a_lattice_past_the_kept_size_is_swept_in_flat_memory():
@@ -599,7 +603,7 @@ def test_a_derivative_error_inside_a_block_is_raised_again_by_the_next_sweep(mon
         sizes.clear()
         with pytest.raises(DomainError, match="undefined"):
             hypothesis_certified(f, q, UNIT, CLASSIC, 3)
-        assert sizes == [3, 3, 27]  # the block is evaluated again, its error not kept
+        assert sizes == [3, 27]  # the block is evaluated again, its error not kept
 
 
 # On the 4-point lattice over [0, 1] with one x row per block, the point 8/9

@@ -5,6 +5,7 @@ or checked against a central finite difference.
 """
 
 import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -316,30 +317,30 @@ class _Counted(np.ndarray):
         return out.view(_Counted) if isinstance(out, np.ndarray) else out
 
 
-# (value, eval_with_derivative) array passes of one call on 9 points, domain and
-# finiteness checks included: a refactor of the evaluator must not add work
+# (value, eval_with_derivative, derivative) array passes of one call on 9 points,
+# domain and finiteness checks included: a refactor of the evaluator must not add work
 _ARRAY_PASSES = {
-    "x^2": (7, 12),
-    "x^4": (7, 12),
-    "exp(x)": (7, 10),
-    "exp(2*x)": (8, 11),
-    "x^2 + 3*x": (9, 15),
-    "(1 - x)^4": (8, 13),
-    "-(x^2)": (8, 14),
-    "exp(x) - 1": (8, 11),
-    "abs(x)": (7, 13),
-    "log(x + 1)": (10, 13),
-    "1 - 2*x": (8, 8),
-    "x^2^3": (7, 12),
-    "2/x/2": (10, 18),
-    "-x^2": (8, 13),
-    "x * (x + 1) * (x - 1)": (10, 18),
-    "1/(x-1)": (10, 16),
-    "log(x-1)": (10, 13),
-    "(x-1)^0.5": (10, 21),
-    "(x-1)^-1": (10, 19),
-    "x^x": (9, 17),
-    "abs(x-1)": (8, 14),
+    "x^2": (7, 11, 8),
+    "x^4": (7, 11, 8),
+    "exp(x)": (7, 10, 8),
+    "exp(2*x)": (8, 11, 9),
+    "x^2 + 3*x": (9, 14, 9),
+    "(1 - x)^4": (8, 13, 10),
+    "-(x^2)": (8, 13, 9),
+    "exp(x) - 1": (8, 11, 8),
+    "abs(x)": (7, 13, 10),
+    "log(x + 1)": (10, 13, 10),
+    "1 - 2*x": (8, 8, 4),
+    "x^2^3": (7, 11, 8),
+    "2/x/2": (10, 18, 14),
+    "-x^2": (8, 13, 10),
+    "x * (x + 1) * (x - 1)": (10, 18, 15),
+    "1/(x-1)": (10, 16, 13),
+    "log(x-1)": (10, 13, 10),
+    "(x-1)^0.5": (10, 20, 17),
+    "(x-1)^-1": (10, 18, 15),
+    "x^x": (9, 17, 15),
+    "abs(x-1)": (8, 14, 11),
 }
 
 
@@ -352,7 +353,7 @@ def test_array_passes_per_evaluation_are_pinned(text):
     f = parse_function(text, Interval(1.25, 3.0))
     x = np.linspace(1.5, 2.5, 9)
     counts = []
-    for evaluate in (f.value, f.eval_with_derivative):
+    for evaluate in (f.value, f.eval_with_derivative, f.derivative):
         _Counted.passes = 0
         evaluate(x.view(_Counted))
         counts.append(_Counted.passes)
@@ -366,7 +367,7 @@ def test_array_passes_per_evaluation_are_pinned(text):
 def _assert_fresh_outputs(f, x):
     x_before = x.copy()
     fd = f.eval_with_derivative(x)
-    outputs = [f.value(x), fd.value, fd.derivative]
+    outputs = [f.value(x), fd.value, fd.derivative, f.derivative(x)]
     for out in outputs:
         assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == x.shape
     for i, a in enumerate(outputs + [x]):
@@ -380,6 +381,7 @@ def _assert_fresh_outputs(f, x):
     assert np.array_equal(f.value(x), expected[0])
     assert np.array_equal(again.value, expected[1])
     assert np.array_equal(again.derivative, expected[2])
+    assert np.array_equal(f.derivative(x), expected[3])
 
 
 @pytest.mark.parametrize("text", ["x", "x^1", "0*x + x", "3", "x^0", "2^3", "exp(x)"])
@@ -653,3 +655,61 @@ def test_check_helpers_keep_every_domain_error_class_and_message():
     ):  # fmt: skip
         assert any(part in message for message in messages), part
     assert {cls for cls, _ in errors} == {DomainError, DerivativeUndefinedError}
+
+
+# ---------------------------------------------------------------------------
+# derivative reads only the values of f that a rule or a check needs
+
+
+def _eager_init(self, compute=None, result=None):
+    """_Deferred computing at once: each value is computed where its pair is
+    built, as forward mode did before values were deferred."""
+    self.compute, self.result = None, result if compute is None else compute()
+
+
+_PARITY_TEXTS = _CHECKED_TEXTS + FUNCTION_TEXTS + EXTRA_EXPRESSIONS
+_PARITY_INPUTS = _CHECKED_INPUTS + [np.random.default_rng(28).uniform(0.0, 1.0, 257)]
+
+
+def _derivative_outcomes(evaluate):
+    """Per text and input, with f unchecked on [0, 1]: the error class and
+    message of evaluate(f, x), or the type, dtype, shape and bytes of its f'."""
+    outcomes = []
+    for text in _PARITY_TEXTS:
+        f = _unchecked(text, Interval(0.0, 1.0))
+        for x in _PARITY_INPUTS:
+            try:
+                d = evaluate(f, x)
+            except DomainError as exc:
+                outcomes.append((text, "error", type(exc).__name__, str(exc)))
+                continue
+            v = np.asarray(d)
+            outcomes.append((text, type(d).__name__, str(v.dtype), v.shape, v.tobytes().hex()))
+    return outcomes
+
+
+# sha256 of repr(_derivative_outcomes(...)) for f.eval_with_derivative(x).derivative
+# as computed before values were deferred, at numpy 2.4.6
+_EAGER_DERIVATIVE_DIGEST = "365f839a1665215dec94176bf6df6d42f369f30871d14787cabc2ea1839fec78"
+
+
+def test_derivative_is_the_derivative_of_eager_forward_mode():
+    got = _derivative_outcomes(lambda f, x: f.derivative(x))
+    with mock.patch.object(expr._Deferred, "__init__", _eager_init):
+        expected = _derivative_outcomes(lambda f, x: f.eval_with_derivative(x).derivative)
+    # no input here has a non-finite f beside a finite f', so every outcome agrees
+    assert got == expected
+    assert sum(o[1] == "error" for o in got) > 200 and sum(o[1] == "ndarray" for o in got) > 100
+    if np.__version__ == "2.4.6":  # float bits depend on numpy and libm
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == _EAGER_DERIVATIVE_DIGEST
+
+
+def test_derivative_does_not_check_the_value_of_f():
+    # f overflows to inf at 0.5001 alone, where f' = 0; the other point is finite in both
+    f = parse_function("1.7976931348623157e308 + 1e295*(1 - 1e9*(x - 0.5001)^2)", Interval(0.0, 1.0))
+    assert f.derivative(0.5001) == 0.0
+    assert np.array_equal(f.derivative(np.array([0.2, 0.5001])), [f.derivative(0.2), 0.0])
+    for at in (0.5001, np.array([0.2, 0.5001])):
+        for evaluate in (f.value, f.eval_with_derivative):
+            with pytest.raises(DomainError, match="produced a non-finite value"):
+                evaluate(at)

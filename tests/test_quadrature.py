@@ -485,17 +485,17 @@ def test_guarantee_evaluates_each_grid_once_with_its_derivative(monkeypatch, bou
     # one eval_with_derivative pass per full grid gives the value and both
     # bounds; no FunctionSpec.value pass evaluates f a second time.  A pass
     # past BLOCK_POINTS panels calls it on blocks of at most BLOCK_POINTS + 1
-    # points that tile the grid, neighbours sharing one endpoint.
+    # points that tile the grid, neighbours sharing one endpoint.  xs records
+    # the points of every f' evaluation, by eval_with_derivative or derivative.
     value_calls, xs, spans = [], [], []  # spans: (n, first call, end call) per pass
-    value, dual = FunctionSpec.value, FunctionSpec.eval_with_derivative
+    value = FunctionSpec.value
     counted = lambda self, x: value_calls.append(x) or value(self, x)  # noqa: E731
     monkeypatch.setattr(FunctionSpec, "value", counted)
     monkeypatch.setattr(FunctionSpec, "__call__", counted)
-    monkeypatch.setattr(
-        FunctionSpec,
-        "eval_with_derivative",
-        lambda self, x: xs.append(np.array(x)) or dual(self, x),
-    )
+    for name in ("eval_with_derivative", "derivative"):
+        method = getattr(FunctionSpec, name)
+        recorded = lambda self, x, method=method: xs.append(np.array(x)) or method(self, x)  # noqa: E731
+        monkeypatch.setattr(FunctionSpec, name, recorded)
     counted_pass = quadrature._uniform_pass  # bound_calls' recorder
 
     def spanned_pass(*args):

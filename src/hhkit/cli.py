@@ -218,6 +218,8 @@ def _function_for(cmd: Command) -> FunctionSpec:
 
 def _theorems(cmd: Command):
     """(theorem_id, hp) for every theorem the command names."""
+    if cmd.params.sense != "first":  # the bounds are stated for the first sense only
+        raise ValueError(f"{cmd.subcommand} takes only --sense first, got {cmd.params.sense!r}")
     for tid in (cmd.theorem,) if cmd.theorem else THEOREM_IDS:
         for hp in hhbounds.holder_pairs(tid, (cmd.p,)):
             yield tid, hp

@@ -423,7 +423,8 @@ def integrate_with_guarantee(
     by convexity.hypothesis_certified, shared with verify_theorem, in the class
     (s, 1, 1, first) on a CERTIFY_GRID_N lattice; a falsified hypothesis raises
     ValueError unless allow_uncertified is set, in which case the bounds are
-    reported as computed, with hypothesis_certified False.
+    reported as computed, with hypothesis_certified False.  That class holds
+    only constants when s < 1, so any s below 1 falsifies a nonconstant |f'|.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")

@@ -246,6 +246,21 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, key, va
     assert err == f"error: invalid {typ} value for {key}: {value!r}\n"
 
 
+@pytest.mark.parametrize("subcommand", ["verify", "bound"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_second_sense_on_bound_or_verify_is_usage_error(tmp_path, capsys, subcommand, from_config):
+    # the bounds are stated for the first sense only, so the second must not be
+    # run, and recorded, as the first
+    cfg = tmp_path / "hhkit.json"
+    cfg.write_text(json.dumps({"sense": "second"}))
+    source = ["--config", str(cfg)] if from_config else ["--sense", "second"]
+    code, out, err = run(capsys, subcommand, "--function", "x^2", "--interval", "0:1", *source)
+    assert (code, out) == (2, "")
+    assert err == f"error: {subcommand} takes only --sense first, got 'second'\n"
+    code, out, err = run(capsys, "certify", "--function", "x^2", "--interval", "0:1", *source)
+    assert (code, err) == (0, "")  # certify tests either sense
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tol_flag_is_usage_error(capsys, value):
     code, out, err = run(

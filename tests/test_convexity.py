@@ -33,6 +33,7 @@ from hhkit.corpus import (
 )
 from hhkit.expr import DomainError, Interval, derivative_power, parse_function
 from hhkit.kernels import HolderExponents
+from hhkit.quadrature import integrate_with_guarantee
 
 CLASSIC = ConvexityParams(1.0, 1.0, 1.0, "first")
 UNIT = Interval(0.0, 1.0)
@@ -373,13 +374,19 @@ def test_lattice_cap_counts_grid_squared_at_m_zero():
 # the bounds' hypothesis check: the same verdict as certify, from fewer blocks
 
 
+def _clear_sweeps():
+    """Drop the memoised verdicts and the |f'| lattice blocks the sweeps keep."""
+    convexity._hypothesis_certified.cache_clear()
+    convexity._kept_blocks.cache_clear()
+
+
 def _certify_verdict(f, q, interval, params, grid_n):
     first = ConvexityParams(params.s, params.alpha, params.m, "first")
     return not certify(derivative_power(f, q), interval, first, grid_n).falsified
 
 
 def test_hypothesis_check_is_certify_on_every_corpus_hypothesis():
-    convexity._hypothesis_certified.cache_clear()
+    _clear_sweeps()
     qs = [None] + [HolderExponents(p).q for p in HOLDER_PS]
     verdicts = set()
     for f in corpus_functions():
@@ -391,6 +398,33 @@ def test_hypothesis_check_is_certify_on_every_corpus_hypothesis():
                     assert got == expected, (f.text, iv, params, q)
                     verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_the_classes_at_m_1_and_alpha_s_below_1_hold_only_constants():
+    # a negative control: at m = 1 and c = alpha*s < 1 the first-sense inequality
+    # reads f(y + mu*(x - y)) <= f(y) - mu^c * (f(y) - f(x)), and as mu -> 0,
+    # mu^c >> mu breaks it at any x, y with f(x) < f(y) for a Lipschitz f
+    _clear_sweeps()
+    grid_n, qs = convexity.DEFAULT_GRID_N, (None, 3.0, 2.0, 1.5)
+    classes = [ConvexityParams(1.0, alpha_s, 1.0) for alpha_s in (0.5, 0.375)]
+    verdicts = [
+        hypothesis_certified(f, q, iv, params, grid_n)
+        for f in corpus_functions()
+        for iv in INTERVALS
+        for params in classes
+        for q in qs
+    ]
+    assert len(verdicts) == 120 and not any(verdicts)
+    affine = parse_function("2*x + 1", DOMAIN)  # |f'| = 2 is constant, and a member
+    assert all(
+        hypothesis_certified(affine, q, iv, params, grid_n)
+        for iv in INTERVALS
+        for params in classes
+        for q in qs
+    )
+    # the guaranteed integrator's class is (s, 1, 1): below s = 1 it certifies no nonconstant |f'|
+    with pytest.raises(ValueError, match="falsified for the s=0.99 class"):
+        integrate_with_guarantee(parse_function("x^2", UNIT), UNIT, 1e-3, s=0.99)
 
 
 _coefficients = st.sampled_from((-2.0, -0.5, 0.25, 1.0, 3.0))
@@ -432,7 +466,7 @@ def _counting_hypotheses(monkeypatch):
         return counted
 
     monkeypatch.setattr(convexity, "derivative_power", counting)
-    convexity._hypothesis_certified.cache_clear()
+    _clear_sweeps()
     return sizes
 
 
@@ -445,7 +479,7 @@ def test_falsified_hypothesis_stops_at_its_first_violating_block(monkeypatch):
     # f at the grid, which at m = 1 is also grid/m, then the first block only, which is row 0
     assert sizes == [50, 2500]
     sizes.clear()
-    convexity._hypothesis_certified.cache_clear()  # also drops the |f'| blocks the first sweep kept
+    _clear_sweeps()  # also drops the |f'| blocks the first sweep kept
     assert hypothesis_certified(f, None, UNIT, CLASSIC, grid_n)  # |f'| = 2x is convex
     # row 0, then blocks of `rows` rows from row 1
     assert len(sizes) == 2 + math.ceil((grid_n - 1) / rows) and sum(sizes[1:]) == grid_n**3
@@ -496,7 +530,7 @@ def test_a_sweep_failing_in_row_0_does_not_reach_an_error_in_row_1(monkeypatch, 
         return np.where(np.abs(t - nan_at) < 1e-6, np.nan, -(t**2) if concave else t**2)
 
     monkeypatch.setattr(convexity, "derivative_power", lambda f, q: hyp)
-    convexity._hypothesis_certified.cache_clear()
+    _clear_sweeps()
     f = parse_function("x", UNIT)
     with pytest.raises(DomainError, match="not finite on the certify lattice"):
         certify(hyp, UNIT, CLASSIC, grid_n=50)  # its first block holds rows 0-12
@@ -508,7 +542,7 @@ def test_a_sweep_failing_in_row_0_does_not_reach_an_error_in_row_1(monkeypatch, 
 
 
 def test_equal_alpha_s_and_m_share_one_sweep():
-    convexity._hypothesis_certified.cache_clear()
+    _clear_sweeps()
     iv = Interval(0.0, 1.5)
     f = parse_function("x^4", Interval(0.0, 3.0))
     for m in (0.5, 1.0):
@@ -550,19 +584,19 @@ def test_shared_blocks_give_the_margins_of_a_cold_sweep_bit_for_bit(monkeypatch)
         got = hypothesis_certified(f, q, iv, params, convexity.DEFAULT_GRID_N)
         return got, repr(seen)  # repr tells -0.0 from 0.0
 
-    convexity._hypothesis_certified.cache_clear()
+    _clear_sweeps()
     warm = [sweep(*case) for case in cases]  # each lattice's first sweep fills its blocks
     for case, shared in zip(cases, warm):
-        convexity._hypothesis_certified.cache_clear()
+        _clear_sweeps()
         assert shared == sweep(*case), case
     assert {got for got, _ in warm} == {True, False}
 
 
 def test_a_shared_block_is_the_hypothesis_at_the_block_points():
-    convexity._hypothesis_certified.cache_clear()
+    _clear_sweeps()
     f, iv, grid_n = parse_function("x^4", DOMAIN), Interval(0.0, 2.0), convexity.DEFAULT_GRID_N
     assert hypothesis_certified(f, None, iv, CLASSIC, grid_n)  # |f'| = 4x^3 is convex: every block
-    kept = convexity._shared_blocks[(f, iv, grid_n, True)]
+    kept = convexity._kept_blocks(f, iv, grid_n, True)
     assert list(kept) == [(0, 1), (1, 14), (14, 27), (27, 40), (40, 50)]
     points, MU = np.linspace(iv.a, iv.b, grid_n), np.linspace(0.0, 1.0, grid_n)[None, None, :]
     for (start, stop), block in kept.items():
@@ -583,7 +617,7 @@ def test_lattices_of_one_function_on_other_intervals_or_grids_share_no_block(mon
 
 
 def test_a_lattice_past_the_kept_size_is_swept_in_flat_memory():
-    convexity._hypothesis_certified.cache_clear()
+    _clear_sweeps()
     f = parse_function("exp(x)", UNIT)
     tracemalloc.start()
     try:
@@ -592,7 +626,23 @@ def test_a_lattice_past_the_kept_size_is_swept_in_flat_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # kept, the 8M-point lattice's |f'| blocks would take 64 MB
-    assert convexity._shared_blocks == {}
+    assert convexity._kept_blocks.cache_info().currsize == 0
+
+
+def test_a_lattice_past_the_kept_size_leaves_the_kept_blocks_in_place(monkeypatch):
+    sizes = _counting_hypotheses(monkeypatch)
+    f, grid_n = parse_function("exp(x)", UNIT), convexity.DEFAULT_GRID_N
+    assert hypothesis_certified(f, None, UNIT, CLASSIC, grid_n)  # |f'| = exp(x) is convex
+    kept = convexity._kept_blocks(f, UNIT, grid_n, True)
+    blocks = dict(kept)
+    assert list(blocks) == [(0, 1), (1, 14), (14, 27), (27, 40), (40, 50)]
+    assert 70**3 > 4 * convexity.BLOCK_POINTS
+    assert hypothesis_certified(f, 2.0, UNIT, CLASSIC, 70)
+    assert convexity._kept_blocks(f, UNIT, grid_n, True) is kept  # stored nothing, evicted nothing
+    assert all(kept[key] is block for key, block in blocks.items()) and len(kept) == len(blocks)
+    sizes.clear()
+    assert hypothesis_certified(f, 3.0, UNIT, CLASSIC, grid_n)
+    assert sizes == [grid_n]  # f' at the grid only: every block is read from the kept ones
 
 
 def test_a_derivative_error_inside_a_block_is_raised_again_by_the_next_sweep(monkeypatch):
@@ -625,7 +675,7 @@ def test_hypothesis_check_raises_only_up_to_its_first_violating_block(
 
     monkeypatch.setattr(convexity, "derivative_power", lambda f, q: hyp)
     monkeypatch.setattr(convexity, "BLOCK_POINTS", 16)
-    convexity._hypothesis_certified.cache_clear()
+    _clear_sweeps()
     f = parse_function("x", UNIT)
     with pytest.raises(DomainError, match="not finite on the certify lattice"):
         certify(hyp, UNIT, CLASSIC, grid_n=4)  # certify reduces every block

@@ -380,9 +380,9 @@ def test_guarantee_certifies_its_hypothesis_once_across_tolerances(monkeypatch):
     calls = []
     original = convexity._block_minima
 
-    def counting(*args):
-        calls.append(args[2:])
-        return original(*args)
+    def counting(f, interval, params, grid_n, lhs):
+        calls.append((params, grid_n))
+        return original(f, interval, params, grid_n, lhs)
 
     monkeypatch.setattr(convexity, "_block_minima", counting)
     # an expression no other test uses, so no earlier call has memoised it

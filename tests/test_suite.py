@@ -95,7 +95,8 @@ def suite():
     quadrature.oracle_integral.cache_clear()
     hhbounds._averages.cache_clear()
     hhbounds._endpoint_derivatives.cache_clear()
-    convexity._hypothesis_certified.cache_clear()  # and the |f'| lattice blocks it keeps
+    convexity._hypothesis_certified.cache_clear()
+    convexity._kept_blocks.cache_clear()
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
         bound, derivative = _counted_endpoint_derivatives(counts)

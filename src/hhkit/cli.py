@@ -521,6 +521,8 @@ _VALUE_FLAGS = frozenset(f"--{name}" for name in _FLAGS)
 
 _CONFIG_KEYS = frozenset(_FLAGS) - {"config"}
 
+_UNREAD_FLAGS = {"certify": ("p", "theorem", "seed", "n")}  # refused from either source, not ignored
+
 
 def _normalize_argv(argv: list[str]) -> list[str]:
     """Join value flags with their argument so values like "-(x^2)" or "-1:1"
@@ -600,6 +602,9 @@ def _resolve(args: argparse.Namespace) -> Command:
         values[name] = v
     if not (math.isfinite(values["tol"]) and values["tol"] >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {values['tol']}")
+    for name in _UNREAD_FLAGS.get(args.subcommand, ()):
+        if getattr(args, name) is not None or config.get(name) is not None:
+            raise ValueError(f"{args.subcommand} does not take --{name}")
 
     del values["config"]
     interval = values.pop("interval")

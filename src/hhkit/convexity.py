@@ -108,7 +108,7 @@ def _block_minima(f, interval: Interval, params: ConvexityParams, grid_n: int, l
     """certify's lattice walk: per block, in order, (margin, (x, y, mu), lhs, rhs)
     at the block's first least margin.  certify states the blocks and errors.
     The left-hand side of rows start:stop is lhs(start, stop, z) when lhs is
-    given and f(z()) otherwise, where z() builds the block's points."""
+    given and f(z()) otherwise, where z() writes the block's points into a shared buffer."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     size = _lattice_size(params, grid_n)
@@ -134,27 +134,33 @@ def _block_minima(f, interval: Interval, params: ConvexityParams, grid_n: int, l
             ys = np.zeros(1)  # second term vanishes and the combination collapses to mu*x
     if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
         raise DomainError(_NOT_FINITE)
+    if isinstance(f, FunctionSpec):  # every lattice point is mu*x + (1-mu)*y of points of this hull
+        f._check_domain(np.array([min(interval.a, ys[0]), max(interval.b, ys[-1])]))
+    value = f._value_inside if isinstance(f, FunctionSpec) else f
+    # per lattice: the terms' products (no coefficient exceeds 1), and one z and one margin buffer
+    x_mu, fc_fx = MU * points[:, None, None], fc * fx[:, None, None]
     y_lhs = (1.0 - MU) * ys[None, :, None]
     y_rhs = sc[None, None, :] * fy[None, :, None] if params.m > 0.0 else None
 
     rows = max(1, BLOCK_POINTS // (len(ys) * grid_n))
+    z_buffer, margin_buffer = np.empty((2, min(rows, grid_n), len(ys), grid_n))
     # a sweep stops at its first failing block, so where there are several its first is row 0
     swept = lhs is not None and rows < grid_n
     starts = [0, *range(1, grid_n, rows)] if swept else range(0, grid_n, rows)
     for i0, i1 in zip(starts, [*starts[1:], grid_n]):
         block = slice(i0, i1)
-        z = lambda: MU * points[block, None, None] + y_lhs  # noqa: E731
+        z = lambda: np.add(x_mu[block], y_lhs, out=z_buffer[: i1 - i0])  # noqa: E731
+        margins = margin_buffer[: i1 - i0]
         with np.errstate(over="ignore", invalid="ignore"):
-            left = np.asarray(f(z()) if lhs is None else lhs(i0, i1, z), dtype=float)
-            rhs = fc * fx[block, None, None]
-            if y_rhs is not None:
-                rhs = rhs + y_rhs
-            margins = rhs - left
-        at = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        if not np.isfinite(margins[at]):
+            left = np.asarray(value(z()) if lhs is None else lhs(i0, i1, z), dtype=float)
+            rhs = fc_fx[block] if y_rhs is None else np.add(fc_fx[block], y_rhs, out=margins)
+            np.subtract(rhs, left, out=margins)
+        i, j, k = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        if not np.isfinite(margins[i, j, k]):
             raise DomainError(_NOT_FINITE)
-        i, j, k = at
-        yield float(margins[at]), (points[i0 + i], ys[j], mus[k]), float(left[at]), float(rhs[at])
+        # rhs at the finite argmin from the same operands: at m = 0, fc*fx alone keeps a -0.0
+        rhs = fc_fx[i0 + i, 0, k] if y_rhs is None else fc_fx[i0 + i, 0, k] + y_rhs[0, j, k]
+        yield float(margins[i, j, k]), (points[i0 + i], ys[j], mus[k]), float(left[i, j, k]), float(rhs)
 
 
 def certify(
@@ -178,9 +184,13 @@ def certify(
     therefore grows as grid_n^2, not grid_n^3, and does not depend on grid_n
     while a row fits in BLOCK_POINTS; time is still grid_n^3 evaluations of f,
     so a lattice of more than MAX_LATTICE_POINTS points is refused with
-    ValueError before f is evaluated.  Raises DomainError when f is not finite
-    at the grid points or a block's least margin is NaN or -inf; a +inf margin
-    cannot be a counterexample and passes.
+    ValueError before f is evaluated.  Every block's points are written into
+    one buffer per lattice, and its margins into another, so f must not keep
+    its argument.  A FunctionSpec's domain is checked once per lattice, on
+    the hull of its points, and each block is then evaluated without it.
+    Raises DomainError when f is not finite at the grid points or a block's
+    least margin is NaN or -inf; a +inf margin cannot be a counterexample and
+    passes.
     """
     if not tolerance >= 0.0:
         raise ValueError("tolerance must be non-negative")

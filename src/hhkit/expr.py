@@ -17,6 +17,9 @@ Each node class declares its syntax and value rule once: an operator its
 parentheses and one ``evaluate`` per node family read them, for floats, arrays
 and ``DualValue`` seeds alike, and repeated evaluation is bit-identical.
 ``value``, ``derivative`` and ``eval_with_derivative`` return arrays the caller owns.
+
+On plain values a node writes its result, after its checks, into an operand
+that is a float64 array its evaluation made (never x): the same ufunc, same bits.
 """
 
 from __future__ import annotations
@@ -177,13 +180,19 @@ def _value_of(v):
     return v.value if isinstance(v, DualValue) else v
 
 
-def _unary(v, check, fn, rule, *args):
-    """check(v, *args), then fn(v, *args) on a plain value; on a dual (u, d),
-    check(u, *args), then the pair of fn(u, *args), deferred, and
-    rule(u, d, value, *args), where value() reads the former."""
+def _scratch(v, x) -> bool:
+    """Whether v is a float64 array the evaluation at x made, read by no one else."""
+    return isinstance(v, np.ndarray) and v is not x and v.dtype == np.float64
+
+
+def _unary(v, x, check, fn, rule, *args):
+    """check(v, *args), then fn(v, *args) on a plain value, written into v
+    when v is scratch; on a dual (u, d), check(u, *args), then the pair of
+    fn(u, *args), deferred, and rule(u, d, value, *args), where value() reads
+    the former.  fn takes out= as a ufunc does."""
     if not isinstance(v, DualValue):
         check(v, *args)
-        return fn(v, *args)
+        return fn(v, *args, out=v) if _scratch(v, x) else fn(v, *args)
     u = v.value
     check(u, *args)
     out = _Deferred(lambda: fn(u, *args))
@@ -199,6 +208,11 @@ def _pow_check(base: Scalar, c: float) -> None:
         raise DomainError(f"negative base with non-integer exponent {c}")
     if c < 0.0 and _any(base == 0.0):
         raise DomainError(f"zero base with negative exponent {c}")
+
+
+def _power(base, c: float, out=None):
+    """base ** c, in place when out is base: numpy's **= takes the fast paths of **."""
+    return base**c if out is None else operator.ipow(out, c)
 
 
 def _pow_rule(u, d, value, c: float):
@@ -259,47 +273,57 @@ class Neg(ExprNode):
     level = _LEVEL_NEG
 
     def evaluate(self, x):
-        return -self.operand.evaluate(x)
+        v = self.operand.evaluate(x)
+        return np.negative(v, out=v) if _scratch(v, x) else -v
 
 
 class _Binary(ExprNode):
     """A left-associative infix operator: ``symbol`` in text, binding at ``level``,
-    with value ``fn(left, right)`` on plain and dual values alike."""
+    defined where ``check(left, right)`` passes, with value ``fn(left, right)``
+    on plain and dual values alike; ``ufunc`` is fn on arrays, for scratch operands."""
 
     left: ExprNode
     right: ExprNode
+    check = staticmethod(_no_check)
 
     def evaluate(self, x):
-        return self.fn(self.left.evaluate(x), self.right.evaluate(x))
+        left, right = self.left.evaluate(x), self.right.evaluate(x)
+        self.check(left, right)
+        out = left if _scratch(left, x) else right if _scratch(right, x) else None
+        return self.fn(left, right) if out is None else self.ufunc(left, right, out=out)
 
 
 class Add(_Binary):
     symbol = "+"
     level = _LEVEL_ADD
     fn = staticmethod(operator.add)
+    ufunc = np.add
 
 
 class Sub(_Binary):
     symbol = "-"
     level = _LEVEL_ADD
     fn = staticmethod(operator.sub)
+    ufunc = np.subtract
 
 
 class Mul(_Binary):
     symbol = "*"
     level = _LEVEL_MUL
     fn = staticmethod(operator.mul)
+    ufunc = np.multiply
 
 
 class Div(_Binary):
     symbol = "/"
     level = _LEVEL_MUL
+    fn = staticmethod(operator.truediv)
+    ufunc = np.true_divide
 
     @staticmethod
-    def fn(num, den):
+    def check(num, den):
         if _any(_value_of(den) == 0.0):
             raise DomainError("division by zero")
-        return num / den
 
 
 class Pow(ExprNode):
@@ -310,11 +334,11 @@ class Pow(ExprNode):
     def evaluate(self, x):
         b = self.base.evaluate(x)
         if isinstance(self.exponent, Constant):
-            return _unary(b, _pow_check, operator.pow, _pow_rule, self.exponent.value)
+            return _unary(b, x, _pow_check, _power, _pow_rule, self.exponent.value)
         if not _depends_on_x(self.exponent):
             # e.g. x^2^3: the exponent folds to a number, so the constant-power
             # rules (integer powers at any base) apply
-            return _unary(b, _pow_check, operator.pow, _pow_rule, float(self.exponent.evaluate(0.0)))
+            return _unary(b, x, _pow_check, _power, _pow_rule, float(self.exponent.evaluate(0.0)))
         w = self.exponent.evaluate(x)
         u = _value_of(b)
         # non-constant exponent: restrict to positive base so u^w = exp(w log u) is well defined
@@ -335,7 +359,7 @@ class _Function(ExprNode):
     check = staticmethod(_no_check)
 
     def evaluate(self, x):
-        return _unary(self.operand.evaluate(x), self.check, self.fn, self.rule)
+        return _unary(self.operand.evaluate(x), x, self.check, self.fn, self.rule)
 
 
 class Exp(_Function):
@@ -571,15 +595,20 @@ class FunctionSpec:
                 f"{self.text!r} is not finite everywhere on [{self.domain.a}, {self.domain.b}]"
             )
 
-    def _evaluate(self, x, read=None):
-        """The tree at x, or given read, read(the pair at the dual seed (x, 1)), so
-        that the values read compute under the same error handling; x is checked
-        against the domain first."""
+    def _check_domain(self, x) -> None:
+        """Raise DomainError unless x lies in the domain, up to a relative slack."""
         slack = 1e-9 * max(1.0, abs(self.domain.a), abs(self.domain.b))
         if not self.domain.contains(x, slack=slack):
             raise DomainError(
                 f"input outside domain [{self.domain.a}, {self.domain.b}] of {self.text!r}"
             )
+
+    def _evaluate(self, x, read=None, checked=False):
+        """The tree at x, or given read, read(the pair at the dual seed (x, 1)), so
+        that the values read compute under the same error handling; x is checked
+        against the domain first unless the caller has checked it."""
+        if not checked:
+            self._check_domain(x)
         if read is not None:
             # a scalar 1 for arrays too; float64, so a float32 x gets float64 derivatives
             x = DualValue(x if isinstance(x, np.ndarray) else float(x), np.float64(1.0))
@@ -594,7 +623,12 @@ class FunctionSpec:
 
     def value(self, x: Scalar) -> Scalar:
         """Evaluate at a float or ndarray; raises DomainError off-domain or on non-finite results."""
-        out = self._evaluate(x)
+        self._check_domain(x)
+        return self._value_inside(x)
+
+    def _value_inside(self, x: Scalar) -> Scalar:
+        """value(x) for an x the caller has checked against the domain."""
+        out = self._evaluate(x, checked=True)
         if not _all(np.isfinite(out)):
             raise DomainError(f"{self.text!r} produced a non-finite value")
         return _shaped_like(out, x)

@@ -261,6 +261,32 @@ def test_second_sense_on_bound_or_verify_is_usage_error(tmp_path, capsys, subcom
     assert (code, err) == (0, "")  # certify tests either sense
 
 
+@pytest.mark.parametrize("flag, value", [("p", 3), ("theorem", "T3"), ("n", 5), ("seed", 9)])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_certify_refuses_the_flags_it_never_reads(tmp_path, capsys, flag, value, from_config):
+    # certify once ran with these ignored and exited 0
+    cfg = tmp_path / "hhkit.json"
+    cfg.write_text(json.dumps({flag: value}))
+    source = ["--config", str(cfg)] if from_config else [f"--{flag}", str(value)]
+    code, out, err = run(capsys, "certify", "--function", "x^2", "--interval", "0:1", *source)
+    assert (code, out) == (2, "")
+    assert err == f"error: certify does not take --{flag}\n"
+    if flag in ("p", "theorem"):  # bound reads both, and still takes them
+        code, out, err = run(capsys, "bound", "--function", "x^2", "--interval", "0:1", *source)
+        assert (code, err) == (0, "")
+
+
+def test_certify_at_m_zero_keeps_a_negative_zero_rhs(capsys):
+    # fc*fx at mu = 0 is 0 * f(x) = -0.0 where f(x) < 0; the record prints it as -0
+    code, out, err = run(
+        capsys, "certify", "--m", "0", "--function", "1-2*x", "--interval", "0.6:1", "--format", "json"
+    )
+    assert (code, err) == (1, "")
+    record = json.loads(out)[0]  # json reads -0 as the integer 0, so the text is checked
+    assert '"rhs": -0,' in out
+    assert (record["inputs"]["x"], record["inputs"]["mu"], record["lhs"]) == (0.6, 0, 1)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tol_flag_is_usage_error(capsys, value):
     code, out, err = run(

@@ -31,7 +31,7 @@ from hhkit.corpus import (
     PARAM_TRIPLES,
     corpus_functions,
 )
-from hhkit.expr import DomainError, Interval, derivative_power, parse_function
+from hhkit.expr import DomainError, FunctionSpec, Interval, derivative_power, parse_function
 from hhkit.kernels import HolderExponents
 from hhkit.quadrature import integrate_with_guarantee
 
@@ -508,6 +508,61 @@ def test_certify_keeps_its_block_schedule():
     sizes.clear()
     certify(hyp, UNIT, ConvexityParams(1.0, 1.0, 0.5), grid_n=50)
     assert sizes[:3] == [50, 50, 13 * 2500]  # at m < 1, f is also evaluated at grid/m
+
+
+@pytest.mark.parametrize(
+    "grid_n, m, rows",
+    [(50, 1.0, [13, 13, 13, 11]), (50, 0.5, [13, 13, 13, 11]), (60, 0.75, [9] * 6 + [6]),
+     (100, 0.0, [100]), (200, 0.0, [163, 37]), (7, 1.0, [7])],
+)  # fmt: skip
+def test_certify_evaluates_a_function_spec_on_the_parent_block_schedule(monkeypatch, grid_n, m, rows):
+    # blocks of BLOCK_POINTS // (ys * grid_n) whole x rows from row 0, each
+    # evaluated once at the points mu*x + (1-mu)*y, bit for bit; value also
+    # reaches _value_inside, at the grid and grid/m, in one dimension
+    seen = []
+    inside = FunctionSpec._value_inside
+
+    def recording(self, x):
+        if np.ndim(x) == 3:
+            seen.append(np.array(x))
+        return inside(self, x)
+
+    monkeypatch.setattr(FunctionSpec, "_value_inside", recording)
+    f = parse_function("x^2 - exp(x/2)", Interval(0.0, 1.0 / m if m > 0.0 else 1.0))
+    certify(f, UNIT, ConvexityParams(1.0, 1.0, m), grid_n)
+    points, mus = np.linspace(0.0, 1.0, grid_n), np.linspace(0.0, 1.0, grid_n)
+    ys = points if m > 0.0 else np.zeros(1)
+    MU = mus[None, None, :]
+    assert [len(z) for z in seen] == rows
+    start = 0
+    for z in seen:
+        block = slice(start, start + len(z))
+        expected = MU * points[block, None, None] + (1.0 - MU) * ys[None, :, None]
+        assert z.tobytes() == expected.tobytes()
+        start += len(z)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
+def test_certify_checks_the_domain_a_fixed_number_of_times(monkeypatch, m):
+    # at the grid, at grid/m when 0 < m < 1, and on the lattice's hull, whatever its size
+    calls = []
+    contains = Interval.contains
+    monkeypatch.setattr(Interval, "contains", lambda self, *a, **k: calls.append(1) or contains(self, *a, **k))
+    f = parse_function("exp(x)", Interval(0.0, 2.0))
+    counts = []
+    for grid_n in (2, 7, 50, 100, 150):
+        calls.clear()
+        certify(f, UNIT, ConvexityParams(1.0, 1.0, m), grid_n)
+        counts.append(len(calls))
+    assert counts == [3 if 0.0 < m < 1.0 else 2] * 5
+
+
+def test_certify_at_m_zero_off_a_domain_holding_zero_raises_the_domain_error():
+    # the lattice reaches 0 at mu = 0, outside f's domain [1, 2]
+    f = parse_function("x^2", Interval(1.0, 2.0))
+    with pytest.raises(DomainError) as exc:
+        certify(f, Interval(1.0, 2.0), ConvexityParams(1.0, 1.0, 0.0), grid_n=10)
+    assert str(exc.value) == "input outside domain [1.0, 2.0] of 'x^2'"
 
 
 def test_certify_reports_the_lexicographically_first_counterexample_across_blocks():

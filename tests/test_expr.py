@@ -313,6 +313,8 @@ class _Counted(np.ndarray):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         _Counted.passes += 1
         inputs = tuple(i.view(np.ndarray) if isinstance(i, _Counted) else i for i in inputs)
+        if "out" in kwargs:  # an in-place pass writes into a counted operand
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
         out = getattr(ufunc, method)(*inputs, **kwargs)
         return out.view(_Counted) if isinstance(out, np.ndarray) else out
 
@@ -655,6 +657,65 @@ def test_check_helpers_keep_every_domain_error_class_and_message():
     ):  # fmt: skip
         assert any(part in message for message in messages), part
     assert {cls for cls, _ in errors} == {DomainError, DerivativeUndefinedError}
+
+
+# ---------------------------------------------------------------------------
+# value writes into the arrays it made, and only float64 ones
+
+_VALUE_INPUTS = _CHECKED_INPUTS + [np.array([0, 1]), np.array([0.0, 0.3, 1.0], dtype=np.float32)]
+
+# sha256 of repr(_value_outcomes()) as computed before value wrote into its
+# own temporaries, at numpy 2.4.6
+_VALUE_DIGEST = "ce646bffcebf1daaa1ec834e4ebf714da8040cf91f8c30d97acb8995ebf30fdd"
+
+
+def _value_outcomes():
+    """Per text and input on [0, 1]: the error class and message of value(x),
+    or the type, dtype, shape and bytes of its result."""
+    outcomes = []
+    for text in _CHECKED_TEXTS:
+        for x in _VALUE_INPUTS:
+            try:
+                v = parse_function(text, Interval(0.0, 1.0)).value(x)
+            except DomainError as exc:
+                outcomes.append((text, "error", type(exc).__name__, str(exc)))
+                continue
+            a = np.asarray(v)
+            outcomes.append((text, type(v).__name__, str(a.dtype), a.shape, a.tobytes().hex()))
+    return outcomes
+
+
+def test_value_outcomes_are_pinned():
+    got = _value_outcomes()
+    assert sum(o[1] == "error" for o in got) > 100 and sum(o[1] == "ndarray" for o in got) > 50
+    if np.__version__ == "2.4.6":  # float bits depend on numpy and libm
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == _VALUE_DIGEST
+
+
+def _value_outcome(tree, x):
+    try:
+        v = FunctionSpec(tree, DOMAIN).value(x)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(v), v.dtype, v.tobytes()
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(_shaped_trees)
+def test_value_in_place_is_bitwise_value_in_fresh_arrays(tree):
+    for x in (_EQUIVALENCE_POINTS, _EQUIVALENCE_POINTS.astype(np.float32), np.arange(3)):
+        got = _value_outcome(tree, x)
+        with mock.patch.object(expr, "_scratch", lambda v, x: False):
+            assert got == _value_outcome(tree, x), format_expression(tree)
+
+
+@pytest.mark.parametrize("text", ["-x + exp(x)", "exp(-x)/2"])
+def test_value_on_integer_arrays_is_its_value_on_floats(text):
+    # -x on int64 is an int64 array the evaluation made: no float64 result may be written into it
+    f = parse_function(text, Interval(0.0, 3.0))
+    got = f.value(np.arange(4))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, f.value(np.arange(4.0)))
 
 
 # ---------------------------------------------------------------------------
